@@ -233,11 +233,7 @@ def cmd_lindblad(cfg: dict, args) -> SweepResult:
             params=p, kappa=kappa, n_th=n_th, t_final=t_final,
             n_samples=int(cfg.get("n_samples", 201)),
             initial_state=str(cfg.get("initial_state", "right_well")))
-        traj = dynamics.evolve(run)
-        table = SweepResult(["t", "s", "tr", "purity", "n"])
-        for i, t in enumerate(traj.times):
-            table.append(float(t), traj.s[i], traj.trace[i], traj.purity[i],
-                         traj.nbar[i])
+        table = dynamics.evolve(run)._table()
         table.meta["subcommand"] = "lindblad-trajectory"
         return table
 

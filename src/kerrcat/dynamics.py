@@ -1,22 +1,23 @@
 """Closed- and open-system time evolution of the squeeze-driven Kerr oscillator.
 
-Three propagation routes share one Trajectory contract:
+One propagation core serves every route and one observer samples them all:
 
-* ``unitary``  - closed system (kappa = 0), exact eigenbasis phases;
-* ``rk4``      - literal fixed-step 4th-order integration of the Lindblad
-  right-hand side with step-halving control, for short horizons;
-* ``expm``     - exact stepping with the matrix exponential of the
-  Liouvillian built in a truncated eigenbasis of H.  The dropped subspace
-  is certified a posteriori: any population leaking out of it shows up as
-  trace loss, which is monitored and kept below tolerance by raising the
-  rank.  This is what makes well-switching lifetimes of order 10^3..10^4 /K
-  affordable; a bare RK4 would need ~10^8 steps there.
+* ``unitary`` - closed system (kappa = 0), exact eigenbasis phases;
+* ``rk4``     - fixed-step RK4 of the Lindblad equation with the effective
+  drift -iH(t) + damping under step-halving control; ramp protocols use it
+  with a time-dependent H, or exact quasi-static steps for a closed pure state;
+* ``expm``    - exact stepping with exp(L tau) of the Liouvillian projected
+  onto the top eigenvectors of H (shared with ``tx_lifetime``), which makes
+  lifetimes of order 10^3..10^4 /K affordable.  The rank is raised until the
+  trace error is below tolerance; the projected Lindbladian keeps the trace
+  exactly, so this only certifies that the basis holds rho(0).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -72,12 +73,16 @@ class Trajectory:
     rho_final: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
+    def _table(self) -> SweepResult:
+        """The ``t,s,tr,purity,n`` table that ``to_csv`` and the CLI write."""
+        table = SweepResult(["t", "s", "tr", "purity", "n"])
+        for i, t in enumerate(self.times):
+            table.append(float(t), self.s[i], self.trace[i], self.purity[i],
+                         self.nbar[i])
+        return table
+
     def to_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write("t,s,tr,purity,n\n")
-            for i, t in enumerate(self.times):
-                f.write(f"{t:.12g},{self.s[i]:.12g},{self.trace[i]:.12g},"
-                        f"{self.purity[i]:.12g},{self.nbar[i]:.12g}\n")
+        self._table().to_csv(path)
 
 
 def default_n_pairs(params: HamiltonianParams) -> int:
@@ -111,7 +116,8 @@ def well_signal(rho: np.ndarray, es: EigenSystem, n_pairs: int = 1) -> float:
 
 
 class _System:
-    """Cached operators for one Lindblad configuration."""
+    """Cached operators for one Lindblad configuration; the eigensystem and
+    the well-signal operator are built on first use."""
 
     def __init__(self, cfg: LindbladConfig):
         self.cfg = cfg
@@ -119,27 +125,28 @@ class _System:
         self.dim = p.dim
         self.h = build_hamiltonian(p)
         self.a = annihilation(p.dim)
-        self.x = quadrature_x(p.dim)
-        self.num = self.a.T @ self.a
-        self.es = eigensystem(self.h)
-        self.n_pairs = cfg.n_pairs if cfg.n_pairs else default_n_pairs(p)
-        self.n_pairs = min(self.n_pairs, len(_pair_up(self.es, self.n_pairs)))
-        self.p_r, self.p_l = well_projectors(self.es, self.n_pairs)
-        self.m_signal = self.p_r - self.p_l
-        # dissipator pieces
-        k_dn = cfg.kappa * (1.0 + cfg.n_th)
-        k_up = cfg.kappa * cfg.n_th
-        self.jumps = []
-        if k_dn > 0:
-            self.jumps.append((k_dn, self.a))
-        if k_up > 0:
-            self.jumps.append((k_up, self.a.T.copy()))
-        # non-Hermitian drift -iH - (1/2) sum rate O^dag O (RK4 fast path)
-        self.h_eff = (-1j * self.h).astype(complex)
-        self.jump_scaled = []
-        for rate, op in self.jumps:
-            self.h_eff -= 0.5 * rate * (op.T @ op)
-            self.jump_scaled.append((np.sqrt(rate) * op).astype(complex))
+        # dissipator: scaled jumps sqrt(rate) O and the anti-Hermitian part
+        # -(1/2) sum rate O^dag O of the effective drift -iH + damping
+        self.rates, self.jump_scaled = [], []
+        self.damping = np.zeros((self.dim, self.dim))
+        for rate, op in ((cfg.kappa * (1.0 + cfg.n_th), self.a),
+                         (cfg.kappa * cfg.n_th, self.a.T)):
+            if rate > 0:
+                self.rates.append(rate)
+                self.damping -= 0.5 * rate * (op.T @ op)
+                self.jump_scaled.append((np.sqrt(rate) * op).astype(complex))
+        self.h_eff = -1j * self.h + self.damping
+
+    @cached_property
+    def es(self) -> EigenSystem:
+        return eigensystem(self.h)
+
+    @cached_property
+    def ops(self) -> tuple:
+        """(P_R - P_L, X, N), the operators ``_observe`` samples."""
+        n = self.cfg.n_pairs if self.cfg.n_pairs else default_n_pairs(self.cfg.params)
+        p_r, p_l = well_projectors(self.es, min(n, len(_pair_up(self.es, n))))
+        return p_r - p_l, quadrature_x(self.dim), self.a.T @ self.a
 
     def initial_vector(self) -> np.ndarray | None:
         init = self.cfg.initial_state
@@ -149,11 +156,9 @@ class _System:
                     warnings.simplefilter("ignore")
                     right, left = localized_pair(self.es, 0)
                 return right if init == "right_well" else left
-            if init == "vacuum":
-                v = np.zeros(self.dim)
-                v[0] = 1.0
-                return v
-            raise ValueError(f"unknown initial state tag {init!r}")
+            if init != "vacuum":
+                raise ValueError(f"unknown initial state tag {init!r}")
+            init = 0
         if isinstance(init, (int, np.integer)):
             v = np.zeros(self.dim)
             v[int(init)] = 1.0
@@ -180,25 +185,27 @@ def lindblad_rhs(rho: np.ndarray, cfg: LindbladConfig) -> np.ndarray:
     effective drift that assumes it).
     """
     sys = _System(cfg)
-    return _rhs(rho, sys)
+    return _rhs(rho, sys, sys.h_eff)
 
 
-def _rhs(rho: np.ndarray, sys: _System) -> np.ndarray:
+def _rhs(rho: np.ndarray, sys: _System, drift: np.ndarray) -> np.ndarray:
+    """drift rho + (drift rho)^dag + sum J rho J^dag for Hermitian rho."""
     if rho.shape != (sys.dim, sys.dim):
         raise ValueError("density matrix dimension mismatch")
-    hr = sys.h_eff @ rho
+    hr = drift @ rho
     out = hr + hr.conj().T
     for op in sys.jump_scaled:
         out += (op @ rho) @ op.conj().T
     return out
 
 
-def _observe(rho, sys: _System):
+def _observe(rho, ops, pure=False):
+    """(s, x, nbar, trace, purity, min eig) of rho; a pure rho has min eig 0."""
     tr = float(np.real(np.trace(rho)))
-    s = float(np.real(np.trace(sys.m_signal @ rho)))
-    x = float(np.real(np.trace(sys.x @ rho)))
-    n = float(np.real(np.trace(sys.num @ rho)))
+    s, x, n = (float(np.real(np.trace(op @ rho))) for op in ops)
     pur = float(np.real(np.trace(rho @ rho)))
+    if pure:
+        return s, x, n, tr, pur, 0.0
     mineig = float(np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)))
     return s, x, n, tr, pur, mineig
 
@@ -219,7 +226,8 @@ def evolve(cfg: LindbladConfig) -> Trajectory:
             raise ValueError("unitary method requires kappa = 0")
         return _evolve_unitary(sys)
     if method == "rk4":
-        return _evolve_rk4(sys)
+        return _step_controlled(sys, partial(_rk4_run, sys, lambda t: sys.h_eff),
+                                cfg.dt if cfg.dt else _stable_dt(sys), "rk4")
     if method == "expm":
         return _evolve_expm(sys)
     raise ValueError(f"unknown method {cfg.method!r}")
@@ -232,34 +240,30 @@ def _traj_from_samples(times, rows, rho_final, meta) -> Trajectory:
 
 
 def _evolve_unitary(sys: _System) -> Trajectory:
-    cfg = sys.cfg
-    times = np.linspace(0.0, cfg.t_final, cfg.n_samples)
+    times = np.linspace(0.0, sys.cfg.t_final, sys.cfg.n_samples)
     w = sys.es.eigenvalues
     v = sys.es.eigenvectors
     psi0 = sys.initial_vector()
-    rows = []
-    if psi0 is not None:
+    pure = psi0 is not None
+    if pure:
         c0 = v.conj().T @ psi0
-        for t in times:
-            psi = v @ (np.exp(-1j * w * t) * c0)
-            rho = np.outer(psi, psi.conj())
-            s, x, n, tr, pur, _ = _observe(rho, sys)
-            rows.append((s, x, n, tr, pur, 0.0))
-        rho_f = np.outer(psi, psi.conj())
     else:
-        rho0 = sys.initial_rho()
-        rt = v.conj().T @ rho0 @ v
-        for t in times:
-            ph = np.exp(-1j * w * t)
+        rt = v.conj().T @ sys.initial_rho() @ v
+    rows = []
+    for t in times:
+        ph = np.exp(-1j * w * t)
+        if pure:
+            psi = v @ (ph * c0)
+            rho = np.outer(psi, psi.conj())
+        else:
             rho = v @ (np.outer(ph, ph.conj()) * rt) @ v.conj().T
-            rows.append(_observe(rho, sys))
-        rho_f = rho
-    return _traj_from_samples(times, rows, rho_f, {"method": "unitary"})
+        rows.append(_observe(rho, sys.ops, pure))
+    return _traj_from_samples(times, rows, rho, {"method": "unitary"})
 
 
 def _stable_dt(sys: _System) -> float:
     span = float(sys.es.eigenvalues[0] - sys.es.eigenvalues[-1])
-    rate = sum(r for r, _ in sys.jumps) * sys.dim
+    rate = sum(sys.rates) * sys.dim
     return 2.0 / max(span + rate, 1e-12)
 
 
@@ -270,75 +274,59 @@ def _step_layout(t_final: float, dt: float, n_samples: int):
     return per, t_final / (per * m)
 
 
-def _rk4_run(sys: _System, dt: float, times: np.ndarray):
-    cfg = sys.cfg
+def _step_controlled(sys: _System, run, dt, method) -> Trajectory:
+    """Halve dt until the trace drift stays below 1e-7 and two successive
+    runs agree to 1e-6; ``run(dt)`` returns (sample rows, final rho)."""
+    times = np.linspace(0.0, sys.cfg.t_final, sys.cfg.n_samples)
+    prev = None
+    for halving in range(13):
+        rows, rho = run(dt)
+        arr = np.array(rows)
+        if np.all(np.isfinite(arr)):
+            drift = np.max(np.abs(arr[:, 3] - arr[0, 3]))
+            if drift < 1e-7 and prev is not None:
+                rel = np.max(np.abs(arr[:, :5] - prev[:, :5])
+                             / np.maximum(1.0, np.abs(arr[:, :5])))
+                if rel < 1e-6:
+                    return _traj_from_samples(
+                        times, rows, rho,
+                        {"method": method, "dt": dt, "halvings": halving})
+            prev = arr
+        else:
+            prev = None
+        dt /= 2
+    raise IntegrationError(f"{method} step control did not converge in 12 halvings")
+
+
+def _rk4_run(sys: _System, drift, dt: float):
+    """Fixed-step RK4 of the Lindblad equation with effective drift
+    ``drift(t)`` = -iH(t) + damping, sampled at ``cfg.n_samples`` points."""
+    n_samples = sys.cfg.n_samples
+    per, dt = _step_layout(sys.cfg.t_final, dt, n_samples)
     rho = sys.initial_rho()
-    per, dt = _step_layout(cfg.t_final, dt, cfg.n_samples)
-    rows = [_observe(rho, sys)]
-    for _ in range(cfg.n_samples - 1):
-        for _ in range(per):
-            k1 = _rhs(rho, sys)
-            k2 = _rhs(rho + 0.5 * dt * k1, sys)
-            k3 = _rhs(rho + 0.5 * dt * k2, sys)
-            k4 = _rhs(rho + dt * k3, sys)
+    rows = [_observe(rho, sys.ops)]
+    for i in range(n_samples - 1):
+        for j in range(per):
+            t = (i * per + j) * dt
+            d_mid = drift(t + dt / 2)
+            k1 = _rhs(rho, sys, drift(t))
+            k2 = _rhs(rho + 0.5 * dt * k1, sys, d_mid)
+            k3 = _rhs(rho + 0.5 * dt * k2, sys, d_mid)
+            k4 = _rhs(rho + dt * k3, sys, drift(t + dt))
             rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             rho = 0.5 * (rho + rho.conj().T)
-        rows.append(_observe(rho, sys))
+        rows.append(_observe(rho, sys.ops))
     return rows, rho
 
 
-def _evolve_rk4(sys: _System) -> Trajectory:
-    """Fixed-step RK4 with halving control on trace drift and observables."""
+def _reduced_liouvillian(sys: _System, rank: int, tau: float):
+    """Basis of the top ``rank`` eigenvectors of H, exp(L tau) of the
+    Liouvillian projected onto it (acting on row-major flattened rho) and
+    the projected initial state."""
     cfg = sys.cfg
-    times = np.linspace(0.0, cfg.t_final, cfg.n_samples)
-    dt = cfg.dt if cfg.dt else _stable_dt(sys)
-    prev = None
-    for halving in range(13):
-        rows, rho = _rk4_run(sys, dt, times)
-        arr = np.array(rows)
-        drift = np.max(np.abs(arr[:, 3] - arr[0, 3]))
-        if not np.all(np.isfinite(arr)):
-            dt /= 2
-            prev = None
-            continue
-        if drift < 1e-7 and prev is not None:
-            rel = np.max(np.abs(arr[:, :5] - prev[:, :5])
-                         / np.maximum(1.0, np.abs(arr[:, :5])))
-            if rel < 1e-6:
-                return _traj_from_samples(
-                    times, rows, rho,
-                    {"method": "rk4", "dt": dt, "halvings": halving})
-        prev = arr
-        dt /= 2
-    raise IntegrationError("rk4 step control did not converge in 12 halvings")
-
-
-def _evolve_expm(sys: _System) -> Trajectory:
-    cfg = sys.cfg
-    times = np.linspace(0.0, cfg.t_final, cfg.n_samples)
-    tau = float(times[1] - times[0])
-    rank = cfg.rank if cfg.rank else min(sys.dim, 32)
-    for _ in range(4):
-        samples, rho_red, vr, tr_err = _expm_propagate(sys, times, tau, rank)
-        if tr_err < 1e-6 or rank >= sys.dim:
-            rho_f = vr @ rho_red @ vr.conj().T
-            return _traj_from_samples(times, samples, rho_f,
-                                      {"method": "expm", "rank": rank,
-                                       "trace_error": tr_err})
-        rank = min(sys.dim, rank + 12)
-    raise IntegrationError("expm eigenbasis rank did not certify trace preservation")
-
-
-def _reduced_ops(sys: _System, rank: int):
     vr = sys.es.eigenvectors[:, :rank]
     e_r = sys.es.eigenvalues[:rank]
     a_r = vr.conj().T @ sys.a @ vr
-    return vr, e_r, a_r
-
-
-def _expm_propagate(sys: _System, times, tau, rank):
-    cfg = sys.cfg
-    vr, e_r, a_r = _reduced_ops(sys, rank)
     eye = np.eye(rank)
     liou = (-1j * (np.kron(np.diag(e_r), eye)
                    - np.kron(eye, np.diag(e_r)))).astype(complex)
@@ -349,29 +337,41 @@ def _expm_propagate(sys: _System, times, tau, rank):
             liou += rate * (np.kron(op, op.conj())
                             - 0.5 * np.kron(od_o, eye)
                             - 0.5 * np.kron(eye, od_o.T))
-    prop = sla.expm(liou * tau)
-    rho0 = sys.initial_rho()
-    rho = vr.conj().T @ rho0 @ vr
-    proj_err = abs(1.0 - np.real(np.trace(rho)))
-    m_r = vr.conj().T @ sys.m_signal @ vr
-    x_r = vr.conj().T @ sys.x @ vr
-    n_r = vr.conj().T @ sys.num @ vr
-    rows = []
-    vec = rho.flatten()
-    max_tr_err = proj_err
-    for i, _t in enumerate(times):
-        if i > 0:
+    rho0 = vr.conj().T @ sys.initial_rho() @ vr
+    return vr, sla.expm(liou * tau), rho0
+
+
+def _certified_rank(sys: _System, run):
+    """(rank, run(rank)) for the first rank, raised by 12 at a time, whose
+    trace error (the last item of ``run(rank)``) is below 1e-6."""
+    rank = sys.cfg.rank if sys.cfg.rank else min(sys.dim, 32)
+    for _ in range(4):
+        out = run(rank)
+        if out[-1] < 1e-6 or rank >= sys.dim:
+            return rank, out
+        rank = min(sys.dim, rank + 12)
+    raise IntegrationError("expm eigenbasis rank did not certify trace preservation")
+
+
+def _evolve_expm(sys: _System) -> Trajectory:
+    times = np.linspace(0.0, sys.cfg.t_final, sys.cfg.n_samples)
+    tau = float(times[1] - times[0])
+
+    def run(rank):
+        vr, prop, rho = _reduced_liouvillian(sys, rank, tau)
+        ops = tuple(vr.conj().T @ op @ vr for op in sys.ops)
+        vec = rho.flatten()
+        rows = [_observe(rho, ops)]
+        for _ in times[1:]:
             vec = prop @ vec
-        rho = vec.reshape(rank, rank)
-        tr = float(np.real(np.trace(rho)))
-        max_tr_err = max(max_tr_err, abs(1.0 - tr))
-        s = float(np.real(np.trace(m_r @ rho)))
-        x = float(np.real(np.trace(x_r @ rho)))
-        n = float(np.real(np.trace(n_r @ rho)))
-        pur = float(np.real(np.trace(rho @ rho)))
-        mineig = float(np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)))
-        rows.append((s, x, n, tr, pur, mineig))
-    return rows, rho, vr, max_tr_err
+            rows.append(_observe(vec.reshape(rank, rank), ops))
+        rho_f = vr @ vec.reshape(rank, rank) @ vr.conj().T
+        return rows, rho_f, max(abs(1.0 - row[3]) for row in rows)
+
+    rank, (rows, rho_f, tr_err) = _certified_rank(sys, run)
+    return _traj_from_samples(times, rows, rho_f,
+                              {"method": "expm", "rank": rank,
+                               "trace_error": tr_err})
 
 
 # -- Rabi maps and lifetime extraction -----------------------------------------
@@ -444,13 +444,7 @@ def tx_lifetime(cfg: LindbladConfig) -> TxEstimate:
         raise ValueError("tx_lifetime requires kappa > 0")
     sys = _System(cfg)
     tau = cfg.dt if cfg.dt else 2.0
-    rank = cfg.rank if cfg.rank else min(sys.dim, 32)
-    chunk = 400
-    for _ in range(4):
-        times, svals, tr_err = _tx_scan(sys, tau, rank, chunk)
-        if tr_err < 1e-6 or rank >= sys.dim:
-            break
-        rank = min(sys.dim, rank + 12)
+    rank, (times, svals, tr_err) = _certified_rank(sys, partial(_tx_scan, sys, tau))
     s0 = svals[0]
     rel = svals / s0
     mask = (rel <= 0.95) & (rel >= 0.2)
@@ -466,23 +460,10 @@ def tx_lifetime(cfg: LindbladConfig) -> TxEstimate:
     return TxEstimate(float(t_x), False, window, rank, tr_err)
 
 
-def _tx_scan(sys: _System, tau, rank, chunk):
+def _tx_scan(sys: _System, tau, rank, chunk=400):
     cfg = sys.cfg
-    vr, e_r, a_r = _reduced_ops(sys, rank)
-    eye = np.eye(rank)
-    liou = (-1j * (np.kron(np.diag(e_r), eye)
-                   - np.kron(eye, np.diag(e_r)))).astype(complex)
-    for rate, op in ((cfg.kappa * (1 + cfg.n_th), a_r),
-                     (cfg.kappa * cfg.n_th, a_r.conj().T)):
-        if rate > 0:
-            od_o = op.conj().T @ op
-            liou += rate * (np.kron(op, op.conj())
-                            - 0.5 * np.kron(od_o, eye)
-                            - 0.5 * np.kron(eye, od_o.T))
-    prop = sla.expm(liou * tau)
-    rho0 = sys.initial_rho()
-    rho = vr.conj().T @ rho0 @ vr
-    m_r = vr.conj().T @ sys.m_signal @ vr
+    vr, prop, rho = _reduced_liouvillian(sys, rank, tau)
+    m_r = vr.conj().T @ sys.ops[0] @ vr
     m_flat = m_r.T.flatten()
     vec = rho.flatten()
     times = [0.0]
@@ -561,99 +542,37 @@ def run_protocol(protocol: RampProtocol, cfg: LindbladConfig) -> Trajectory:
     """
     d0, e0 = protocol.values_at(0.0)
     base = cfg.params.with_(delta=d0, eps2=e0)
-    sys = _System(LindbladConfig(
-        params=base, kappa=cfg.kappa, n_th=cfg.n_th, t_final=protocol.total_duration,
-        initial_state=cfg.initial_state, n_samples=cfg.n_samples,
-        n_pairs=cfg.n_pairs, dt=cfg.dt))
-    dim = base.dim
-    num = np.diag(np.arange(dim, dtype=float))
-    a = annihilation(dim)
-    drive = a.T @ a.T + a @ a
+    sys = _System(replace(cfg, params=base, t_final=protocol.total_duration))
+    num = np.diag(np.arange(base.dim, dtype=float))
+    drive = sys.a.T @ sys.a.T + sys.a @ sys.a
     kerr_term = build_hamiltonian(base.with_(delta=0.0, eps2=0.0))
 
     def h_at(t):
         d, e = protocol.values_at(t)
         return kerr_term + d * num + e * drive
 
-    t_total = protocol.total_duration
-    times = np.linspace(0.0, t_total, cfg.n_samples)
-    closed = cfg.kappa == 0
-    if cfg.dt:
-        dt = cfg.dt
-    elif closed:
+    # a closed pure state takes exact quasi-static steps, anything else RK4
+    psi0 = sys.initial_vector() if cfg.kappa == 0 else None
+    if psi0 is not None:
         # quasi-static stepping is exact per step; dt only resolves the ramps
-        dt = min(0.05, t_total / 50.0)
+        dt = min(0.05, protocol.total_duration / 50.0)
+        run = partial(_quasistatic_run, sys, h_at, psi0)
     else:
-        hmax = max(np.abs(sys.es.eigenvalues[0]), np.abs(sys.es.eigenvalues[-1]))
-        dt = 1.0 / (4.0 * hmax)
-
-    prev = None
-    for halving in range(13):
-        rows, rho_f = _protocol_run(sys, h_at, dt, times, closed)
-        arr = np.array(rows)
-        if np.all(np.isfinite(arr)):
-            drift = np.max(np.abs(arr[:, 3] - 1.0))
-            if drift < 1e-7 and prev is not None:
-                rel = np.max(np.abs(arr[:, :5] - prev[:, :5])
-                             / np.maximum(1.0, np.abs(arr[:, :5])))
-                if rel < 1e-6:
-                    return _traj_from_samples(
-                        times, rows, rho_f,
-                        {"method": "rk4-protocol", "dt": dt, "halvings": halving})
-            prev = arr
-        else:
-            prev = None
-        dt /= 2
-    raise IntegrationError("protocol step control did not converge in 12 halvings")
+        dt = _stable_dt(sys)
+        run = partial(_rk4_run, sys, lambda t: -1j * h_at(t) + sys.damping)
+    return _step_controlled(sys, run, cfg.dt if cfg.dt else dt, "rk4-protocol")
 
 
-def _protocol_run(sys: _System, h_at, dt, times, closed):
-    cfg = sys.cfg
-    t_total = float(times[-1])
-    per, dt = _step_layout(t_total, dt, cfg.n_samples)
-    rows = []
-    if closed:
-        # quasi-static stepping: exact unitary of the midpoint Hamiltonian
-        psi = sys.initial_vector().astype(complex)
-
-        def observe_pure():
-            rho_ = np.outer(psi, psi.conj())
-            s, x, n, tr, pur, _ = _observe(rho_, sys)
-            rows.append((s, x, n, tr, pur, 0.0))
-
-        observe_pure()
-        step = 0
-        for _ in range(cfg.n_samples - 1):
-            for _ in range(per):
-                t = step * dt
-                w, v = np.linalg.eigh(h_at(t + dt / 2))
-                psi = v @ (np.exp(-1j * w * dt) * (v.conj().T @ psi))
-                step += 1
-            observe_pure()
-        return rows, np.outer(psi, psi.conj())
-
-    rho = sys.initial_rho()
-    jumps = sys.jumps
-
-    def rhs(rho_, h_):
-        out = -1j * (h_ @ rho_ - rho_ @ h_)
-        for rate, op in jumps:
-            od_o = op.T @ op
-            out += rate * (op @ rho_ @ op.T - 0.5 * (od_o @ rho_ + rho_ @ od_o))
-        return out
-
-    rows.append(_observe(rho, sys))
-    step = 0
-    for _ in range(cfg.n_samples - 1):
-        for _ in range(per):
-            t = step * dt
-            h1, h2, h3 = h_at(t), h_at(t + dt / 2), h_at(t + dt)
-            k1 = rhs(rho, h1)
-            k2 = rhs(rho + 0.5 * dt * k1, h2)
-            k3 = rhs(rho + 0.5 * dt * k2, h2)
-            k4 = rhs(rho + dt * k3, h3)
-            rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            rho = 0.5 * (rho + rho.conj().T)
-            step += 1
-        rows.append(_observe(rho, sys))
-    return rows, rho
+def _quasistatic_run(sys: _System, h_at, psi0, dt):
+    """Closed pure-state stepping with the exact unitary of the midpoint H."""
+    n_samples = sys.cfg.n_samples
+    per, dt = _step_layout(sys.cfg.t_final, dt, n_samples)
+    psi = psi0.astype(complex)
+    rows = [_observe(np.outer(psi, psi.conj()), sys.ops, pure=True)]
+    for i in range(n_samples - 1):
+        for j in range(per):
+            t = (i * per + j) * dt
+            w, v = np.linalg.eigh(h_at(t + dt / 2))
+            psi = v @ (np.exp(-1j * w * dt) * (v.conj().T @ psi))
+        rows.append(_observe(np.outer(psi, psi.conj()), sys.ops, pure=True))
+    return rows, np.outer(psi, psi.conj())

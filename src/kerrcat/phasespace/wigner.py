@@ -113,8 +113,7 @@ def _wigner_laguerre(state: np.ndarray, xg: np.ndarray, pg: np.ndarray) -> np.nd
     phi = np.arctan2(Pm, Xm)
     sgn = (-1.0) ** np.arange(dim)
     out = np.zeros_like(u)
-    with np.errstate(divide="ignore"):
-        logu = np.where(u > 0, np.log(u, where=u > 0), -np.inf)
+    logu = np.log(u, out=np.full_like(u, -np.inf), where=u > 0)
     for d in range(dim):
         cvec = np.conj(psi[d:]) * psi[:dim - d] * sgn[:dim - d]
         if np.max(np.abs(cvec)) < 1e-18:

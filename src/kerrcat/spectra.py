@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq
@@ -157,21 +158,27 @@ def signed_splitting(delta: float, p0: HamiltonianParams) -> float:
     return tunnel_splitting(p0.with_(delta=delta)).delta_e
 
 
-def find_splitting_zeros(p0: HamiltonianParams, lo: float, hi: float,
-                         scan_points: int = 201, xtol: float = 1e-8) -> np.ndarray:
-    """Zeros of the signed splitting in [lo, hi], refined by bisection."""
-    grid = np.linspace(lo, hi, scan_points)
-    vals = np.array([signed_splitting(d, p0) for d in grid])
+def _grid_zeros(grid, vals, refine) -> list:
+    """Grid points where ``vals`` is exactly 0, plus ``refine(lo, hi)`` on
+    every grid interval where ``vals`` changes sign."""
     zeros = []
     for i in range(len(grid) - 1):
         if vals[i] == 0.0:
             zeros.append(grid[i])
         elif vals[i] * vals[i + 1] < 0:
-            zeros.append(brentq(signed_splitting, grid[i], grid[i + 1],
-                                args=(p0,), xtol=xtol))
-    if vals[-1] == 0.0:
+            zeros.append(refine(grid[i], grid[i + 1]))
+    if len(grid) and vals[-1] == 0.0:
         zeros.append(grid[-1])
-    return np.array(zeros)
+    return zeros
+
+
+def find_splitting_zeros(p0: HamiltonianParams, lo: float, hi: float,
+                         scan_points: int = 201, xtol: float = 1e-8) -> np.ndarray:
+    """Zeros of the signed splitting in [lo, hi], refined by bisection."""
+    grid = np.linspace(lo, hi, scan_points)
+    vals = np.array([signed_splitting(d, p0) for d in grid])
+    return np.array(_grid_zeros(
+        grid, vals, partial(brentq, signed_splitting, args=(p0,), xtol=xtol)))
 
 
 def splitting_sweep(p0: HamiltonianParams, delta_grid: np.ndarray) -> SweepResult:
@@ -183,15 +190,9 @@ def splitting_sweep(p0: HamiltonianParams, delta_grid: np.ndarray) -> SweepResul
     for d in delta_grid:
         ts = tunnel_splitting(p0.with_(delta=float(d)))
         out.append(float(d), p0.eps2, ts.delta_e, ts.abs_delta_e)
-    sig = out.column("de_signed")
-    zeros = []
-    for i in range(len(delta_grid) - 1):
-        if sig[i] == 0.0:
-            zeros.append(delta_grid[i])
-        elif sig[i] * sig[i + 1] < 0:
-            zeros.append(brentq(signed_splitting, delta_grid[i], delta_grid[i + 1],
-                                args=(p0,), xtol=1e-8))
-    out.meta["zeros"] = zeros
+    out.meta["zeros"] = _grid_zeros(
+        delta_grid, out.column("de_signed"),
+        partial(brentq, signed_splitting, args=(p0,), xtol=1e-8))
     return out
 
 
@@ -358,15 +359,8 @@ def quartic_drive_spectrum(p: HamiltonianParams, delta_grid: np.ndarray) -> Swee
         es = eigensystem(build_hamiltonian(p.with_(delta=float(d))))
         ge = es.top_state(1)[0] - es.top_state(-1)[0]
         out.append(float(d), p.eps4, ge, abs(ge))
-    sig = out.column("gap_signed")
-    grid = out.column("delta")
-    zeros = []
-    for i in range(len(grid) - 1):
-        if sig[i] * sig[i + 1] < 0:
-            zeros.append(quartic_crossing_location(p, grid[i], grid[i + 1]))
-        elif sig[i] == 0.0:
-            zeros.append(grid[i])
-    out.meta["zeros"] = zeros
+    out.meta["zeros"] = _grid_zeros(out.column("delta"), out.column("gap_signed"),
+                                    partial(quartic_crossing_location, p))
     return out
 
 

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kerrcat import cli
+from kerrcat import cli, dynamics
+from kerrcat.fock import HamiltonianParams
 from kerrcat.semiclassical import classify_phase
 
 DATA = Path(__file__).parent / "data"
@@ -249,6 +250,12 @@ def test_lindblad_trajectory_dump(tmp_path):
     assert header == ["t", "s", "tr", "purity", "n"]
     assert len(rows) == 21
     assert float(rows[0][2]) == pytest.approx(1.0, abs=1e-9)
+    # the library writer produces the same bytes
+    lib = tmp_path / "lib.csv"
+    dynamics.evolve(dynamics.LindbladConfig(
+        params=HamiltonianParams(delta=1.0, eps2=0.5, dim=20), kappa=0.02,
+        n_th=0.0, t_final=20.0, n_samples=21)).to_csv(lib)
+    assert lib.read_bytes() == out.read_bytes()
 
 
 def test_lindblad_tx_sweep(tmp_path):

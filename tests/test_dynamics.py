@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import kerrcat.dynamics
 from kerrcat.dynamics import (LindbladConfig, RampProtocol, RampSegment,
                               default_n_pairs, evolve, fit_decaying_cosine,
                               lindblad_rhs, rabi_map, run_protocol,
                               tx_lifetime, well_projectors, well_signal)
+from kerrcat.errors import IntegrationError
 from kerrcat.fock import HamiltonianParams, build_hamiltonian, parity_operator
 from kerrcat.spectra import eigensystem, localized_pair, tunnel_splitting
 
@@ -49,6 +51,28 @@ def test_rhs_traceless_and_hermiticity_preserving():
     out = lindblad_rhs(rho, cfg)
     assert abs(np.trace(out)) < 1e-12
     assert np.abs(out - out.conj().T).max() < 1e-12
+
+
+def test_rhs_needs_no_eigensystem(monkeypatch):
+    p = HamiltonianParams(delta=1.0, eps2=0.5, dim=14)
+    cfg = cfg_of(p, kappa=0.03, n_th=0.1, t_final=1.0)
+    rho = np.diag(np.linspace(1.0, 0.1, 14)).astype(complex)
+    rho /= np.trace(rho)
+    expected = lindblad_rhs(rho, cfg)
+
+    def fail(_h):
+        raise AssertionError("lindblad_rhs diagonalised H")
+    monkeypatch.setattr(kerrcat.dynamics, "eigensystem", fail)
+    out = lindblad_rhs(rho, cfg)
+    assert np.array_equal(out, expected)
+    # literal Lindblad form
+    h = build_hamiltonian(p)
+    a = np.diag(np.sqrt(np.arange(1.0, 14)), 1)
+    lit = -1j * (h @ rho - rho @ h)
+    for rate, op in ((0.03 * 1.1, a), (0.03 * 0.1, a.T)):
+        od_o = op.T @ op
+        lit += rate * (op @ rho @ op.T - 0.5 * (od_o @ rho + rho @ od_o))
+    assert np.abs(out - lit).max() < 1e-13
 
 
 def test_rhs_dimension_mismatch():
@@ -232,6 +256,18 @@ def test_tx_requires_dissipation():
         tx_lifetime(cfg_of(p, kappa=0.0, t_final=100.0))
 
 
+def test_tx_uncertified_rank_raises():
+    # a high Fock state lies outside every basis the rank loop tries
+    p = HamiltonianParams(delta=2.0, eps2=2.17, dim=40)
+    cfg = cfg_of(p, kappa=1 / 50, n_th=0.05, t_final=10.0, dt=1.0, rank=1,
+                 initial_state=39)
+    with pytest.raises(IntegrationError):
+        tx_lifetime(cfg)
+    with pytest.raises(IntegrationError):
+        evolve(cfg_of(p, kappa=1 / 50, n_th=0.05, t_final=10.0, n_samples=11,
+                      method="expm", rank=1, initial_state=39))
+
+
 def test_tx_lower_bound_flag():
     # delta = 2 cancellation point with a horizon far too short to see decay
     p = HamiltonianParams(delta=2.0, eps2=2.17, dim=40)
@@ -279,3 +315,28 @@ def test_hold_at_cancellation_leaves_signal():
     prot = RampProtocol((RampSegment(10.0, 2.0, 2.0, 0.11, 0.11),))
     traj = run_protocol(prot, cfg_of(p, t_final=1.0, n_samples=21, n_pairs=1))
     assert abs(traj.s[-1] - traj.s[0]) < 1e-3
+
+
+def test_open_protocol_matches_rk4_at_constant_parameters():
+    p = HamiltonianParams(delta=2.0, eps2=1.0, dim=20)
+    common = dict(kappa=0.02, n_th=0.05, t_final=5.0, n_samples=11, n_pairs=1)
+    prot = RampProtocol((RampSegment(5.0, 2.0, 2.0, 1.0, 1.0),))
+    traj = run_protocol(prot, cfg_of(p, **common))
+    ref = evolve(cfg_of(p, **common, method="rk4"))
+    assert traj.meta["method"] == "rk4-protocol"
+    assert np.abs(traj.s - ref.s).max() < 1e-8
+    assert np.abs(traj.nbar - ref.nbar).max() < 1e-8
+
+
+def test_closed_protocol_with_mixed_initial_state():
+    p = HamiltonianParams(delta=1.0, eps2=0.5, dim=20)
+    es = eigensystem(build_hamiltonian(p))
+    right, left = localized_pair(es, 0)
+    rho0 = 0.7 * np.outer(right, right) + 0.3 * np.outer(left, left)
+    common = dict(t_final=3.0, n_samples=7, n_pairs=1, initial_state=rho0)
+    prot = RampProtocol((RampSegment(3.0, 1.0, 1.0, 0.5, 0.5),))
+    traj = run_protocol(prot, cfg_of(p, **common))
+    ref = evolve(cfg_of(p, **common, method="unitary"))
+    assert traj.s[0] == pytest.approx(0.4, abs=1e-3)
+    assert np.abs(traj.s - ref.s).max() < 1e-8
+    assert np.abs(traj.nbar - ref.nbar).max() < 1e-8

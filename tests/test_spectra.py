@@ -110,6 +110,15 @@ def test_sweep_table_and_sign_alternation():
     assert np.abs(np.array(table.meta["zeros"]) - [2.0, 4.0, 6.0]).max() < 1e-6
 
 
+def test_sweep_keeps_exact_zero_at_last_grid_point():
+    # at eps2 = 0.5 the signed splitting is exactly 0 at delta = 2
+    p0 = HamiltonianParams(delta=0.0, eps2=0.5, dim=60)
+    grid = np.linspace(1.0, 2.0, 5)
+    zeros = find_splitting_zeros(p0, 1.0, 2.0, scan_points=5)
+    assert list(zeros) == [2.0]
+    assert list(splitting_sweep(p0, grid).meta["zeros"]) == list(zeros)
+
+
 def test_sign_changes_only_at_even_detuning():
     # signed splitting flips exactly at {2, 4, 6} and nowhere else
     p0 = HamiltonianParams(delta=0.0, eps2=0.6, dim=90)

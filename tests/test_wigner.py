@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,14 @@ def test_squeezed_state_has_tiny_negativity():
     wg = wigner_function(state)
     assert wg.values.min() > -1e-3
     assert wg.normalization() == pytest.approx(1.0, abs=1e-6)
+
+
+def test_grid_through_origin_emits_no_warning():
+    # the grid centre u = 0 is where log(u) is masked out
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wg = wigner_function(cat_eigenstate(index=1), points=41)
+    assert wg.x[20] == 0.0 and np.all(np.isfinite(wg.values))
 
 
 def test_rejects_unnormalized_state():
