@@ -199,14 +199,17 @@ def _rhs(rho: np.ndarray, sys: _System, drift: np.ndarray) -> np.ndarray:
     return out
 
 
-def _observe(rho, ops, pure=False):
-    """(s, x, nbar, trace, purity, min eig) of rho; a pure rho has min eig 0."""
-    tr = float(np.real(np.trace(rho)))
-    s, x, n = (float(np.real(np.trace(op @ rho))) for op in ops)
-    pur = float(np.real(np.trace(rho @ rho)))
-    if pure:
-        return s, x, n, tr, pur, 0.0
-    mineig = float(np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)))
+def _observe(state, ops):
+    """(s, x, nbar, trace, purity, min eig) of a density matrix, or of a pure
+    state given as its vector psi (trace psi^dag psi, min eig 0)."""
+    if state.ndim == 1:
+        tr = float(np.real(np.vdot(state, state)))
+        s, x, n = (float(np.real(np.vdot(state, op @ state))) for op in ops)
+        return s, x, n, tr, tr * tr, 0.0
+    tr = float(np.real(np.trace(state)))
+    s, x, n = (float(np.real(np.trace(op @ state))) for op in ops)
+    pur = float(np.real(np.trace(state @ state)))
+    mineig = float(np.min(np.linalg.eigvalsh((state + state.conj().T) / 2)))
     return s, x, n, tr, pur, mineig
 
 
@@ -253,11 +256,11 @@ def _evolve_unitary(sys: _System) -> Trajectory:
     for t in times:
         ph = np.exp(-1j * w * t)
         if pure:
-            psi = v @ (ph * c0)
-            rho = np.outer(psi, psi.conj())
+            state = v @ (ph * c0)
         else:
-            rho = v @ (np.outer(ph, ph.conj()) * rt) @ v.conj().T
-        rows.append(_observe(rho, sys.ops, pure))
+            state = v @ (np.outer(ph, ph.conj()) * rt) @ v.conj().T
+        rows.append(_observe(state, sys.ops))
+    rho = np.outer(state, state.conj()) if pure else state
     return _traj_from_samples(times, rows, rho, {"method": "unitary"})
 
 
@@ -568,11 +571,11 @@ def _quasistatic_run(sys: _System, h_at, psi0, dt):
     n_samples = sys.cfg.n_samples
     per, dt = _step_layout(sys.cfg.t_final, dt, n_samples)
     psi = psi0.astype(complex)
-    rows = [_observe(np.outer(psi, psi.conj()), sys.ops, pure=True)]
+    rows = [_observe(psi, sys.ops)]
     for i in range(n_samples - 1):
         for j in range(per):
             t = (i * per + j) * dt
             w, v = np.linalg.eigh(h_at(t + dt / 2))
             psi = v @ (np.exp(-1j * w * dt) * (v.conj().T @ psi))
-        rows.append(_observe(np.outer(psi, psi.conj()), sys.ops, pure=True))
+        rows.append(_observe(psi, sys.ops))
     return rows, np.outer(psi, psi.conj())

@@ -5,6 +5,13 @@ Polynomials carry a basis tag: ``"a"`` for the complex coordinates (a, a*)
 and ``"xp"`` for the quadratures, with [x, p] = i*lambda.  All structure
 constants are exact (see :mod:`.coeff`), so the identities tested downstream
 hold with zero tolerance.
+
+The star product and the McCoy maps work one monomial pair at a time.  All
+order-n terms of a^j1 a*^k1 star a^j2 a*^k2 land on a^(j1+j2-n) a*^(k1+k2-n),
+so their integer weight (a signed sum of falling-factorial products) is summed
+first and applied with one coefficient scaling by u^n/n!, where u = 1/2 in
+(a, a*) and i*lambda/2 in (x, p).  The McCoy maps are exp(c d_0 d_1) with
+c = 1/2 (quantize), -1/2 (Wigner transform) or -i*lambda/2 (x-ordered).
 """
 
 from __future__ import annotations
@@ -27,10 +34,6 @@ __all__ = [
 ]
 
 _ONE_HALF = Fraction(1, 2)
-
-
-def _binom(n, k):
-    return math.comb(n, k)
 
 
 class PhaseSpacePolynomial:
@@ -168,45 +171,47 @@ def p_var(lam=1):
 
 # -- star product -------------------------------------------------------------
 
-def star_term(f: PhaseSpacePolynomial, g: PhaseSpacePolynomial, n: int) -> PhaseSpacePolynomial:
-    """Order-n bidifferential term of the Groenewold star product.
+def _power_over_factorial(mag: Fraction, turns: int, n: int) -> tuple:
+    """(re, im) of (mag * i^turns)^n / n!."""
+    m = mag**n / math.factorial(n)
+    return ((m, 0), (0, m), (-m, 0), (0, -m))[turns * n % 4]
 
-    In the (a, a*) basis the order-n prefactor is (1/2)^n / n!; in (x, p) it
-    is (i*lambda/2)^n / n!.  Even orders are symmetric under swapping the
-    factors, which is why the Moyal bracket keeps only odd derivatives.
-    """
+
+def _star_orders(f: PhaseSpacePolynomial, g: PhaseSpacePolynomial,
+                 lo: int, hi: int) -> PhaseSpacePolynomial:
+    """Star-product terms of orders lo..hi, summed one monomial pair at a time."""
     f._check(g)
-    out = PhaseSpacePolynomial.zero(f.basis, f.lam)
-    for k in range(n + 1):
-        sign = -1 if k % 2 else 1
-        c = Fraction(_binom(n, k) * sign, math.factorial(n))
-        if f.basis == "a":
-            # f exp((1/2)(<-d_a ->d_a* - <-d_a* ->d_a)) g
-            df = f.deriv(0, n - k).deriv(1, k)
-            dg = g.deriv(1, n - k).deriv(0, k)
-            term = (df * dg).scale(c * _ONE_HALF**n)
-        else:
-            # f exp((i lam/2)(<-d_x ->d_p - <-d_p ->d_x)) g
-            df = f.deriv(0, n - k).deriv(1, k)
-            dg = g.deriv(1, n - k).deriv(0, k)
-            pref = (f.lam * _ONE_HALF) ** n
-            term = (df * dg).scale(c)
-            # multiply by (i)^n * pref
-            i_mod = n % 4
-            re, im = {0: (pref, 0), 1: (0, pref), 2: (-pref, 0), 3: (0, -pref)}[i_mod]
-            term = term.scale(re, im)
-        out = out + term
-    return out
+    mag, turns = (_ONE_HALF, 0) if f.basis == "a" else (f.lam * _ONE_HALF, 1)
+    units = [_power_over_factorial(mag, turns, n) for n in range(hi + 1)]
+    two_lam = 2 * f.lam
+    terms = {}
+    for (j1, k1), c1 in f.terms.items():
+        for (j2, k2), c2 in g.terms.items():
+            c = c1.mul(c2, two_lam)
+            # k = number of d_1 on f (and d_0 on g) <= right; n - k <= left
+            left, right = min(j1, k2), min(k1, j2)
+            for n in range(max(lo, 0), min(hi, left + right) + 1):
+                w = sum((-1)**k * math.comb(n, k) * math.perm(j1, n - k) * math.perm(k1, k)
+                        * math.perm(k2, n - k) * math.perm(j2, k)
+                        for k in range(max(0, n - left), min(n, right) + 1))
+                re, im = units[n]
+                key = (j1 + j2 - n, k1 + k2 - n)
+                terms[key] = terms.get(key, Coeff()) + c.scale(w * re, w * im)
+    return PhaseSpacePolynomial(f.basis, terms, f.lam)
+
+
+def star_term(f: PhaseSpacePolynomial, g: PhaseSpacePolynomial, n: int) -> PhaseSpacePolynomial:
+    """Order-n term u^n/n! sum_k C(n,k) (-1)^k (d_0^(n-k) d_1^k f) (d_1^(n-k) d_0^k g)
+    of the Groenewold star product; u = 1/2 in (a, a*) and i*lambda/2 in (x, p).
+    Even orders are symmetric under swapping the factors, which is why the
+    Moyal bracket keeps only odd derivatives.
+    """
+    return _star_orders(f, g, n, n)
 
 
 def star_product(f: PhaseSpacePolynomial, g: PhaseSpacePolynomial) -> PhaseSpacePolynomial:
     """Associative Groenewold star product; exact finite series."""
-    f._check(g)
-    nmax = min(f.degree(), g.degree())
-    out = PhaseSpacePolynomial.zero(f.basis, f.lam)
-    for n in range(max(nmax, 0) + 1):
-        out = out + star_term(f, g, n)
-    return out
+    return _star_orders(f, g, 0, max(min(f.degree(), g.degree()), 0))
 
 
 def star_commutator(f, g):
@@ -218,20 +223,15 @@ def moyal_bracket(f, g):
     """(f*g - g*f) / (i lambda): the bracket that generates Wigner dynamics
     and reduces exactly to the Poisson bracket when either argument is at
     most quadratic."""
-    c = star_commutator(f, g)
-    inv = Fraction(1) / c.lam
-    return c.scale(0, -inv)   # 1/(i lam) = -i/lam
+    return star_commutator(f, g).scale(0, -1 / f.lam)   # 1/(i lam) = -i/lam
 
 
 def poisson_bracket(f, g):
     """Classical bracket {f, g} = f_x g_p - f_p g_x (basis-aware)."""
     f._check(g)
-    if f.basis == "xp":
-        return f.deriv(0) * g.deriv(1) - f.deriv(1) * g.deriv(0)
-    # in (a, a*): {f, g} = (f_a g_a* - f_a* g_a) / (i lam)
     raw = f.deriv(0) * g.deriv(1) - f.deriv(1) * g.deriv(0)
-    inv = Fraction(1) / f.lam
-    return raw.scale(0, -inv)
+    # in (a, a*): {f, g} = (f_a g_a* - f_a* g_a) / (i lam)
+    return raw if f.basis == "xp" else raw.scale(0, -1 / f.lam)
 
 
 # -- basis conversion ---------------------------------------------------------
@@ -320,24 +320,21 @@ class NormalOrderedOperatorPoly:
         return " + ".join(bits) if bits else "0"
 
 
-def _apply_exp_mixed_deriv(poly: PhaseSpacePolynomial, sign: int) -> PhaseSpacePolynomial:
-    """exp(sign * (1/2) d_a d_a*) on an (a, a*) polynomial; finite sum."""
-    if poly.basis != "a":
-        raise ValueError("mixed-derivative prefactor acts on the (a, a*) basis")
-    out = PhaseSpacePolynomial.zero("a", poly.lam)
+def _swapped(terms: dict) -> dict:
+    """Exponents (j, k) -> (k, j): reads a^j (a*)^k as (a^dag)^k a^j and back."""
+    return {(k, j): c for (j, k), c in terms.items()}
+
+
+def _exp_mixed_deriv(poly: PhaseSpacePolynomial, mag: Fraction, turns: int):
+    """exp(c d_0 d_1) with c = mag * i^turns on ``poly``; finite sum."""
+    terms = {}
     for (j, k), c in poly.terms.items():
         for r in range(min(j, k) + 1):
-            num = (math.factorial(j) // math.factorial(j - r)) * \
-                  (math.factorial(k) // math.factorial(k - r))
-            q = Fraction(sign**r * num, 2**r * math.factorial(r))
+            re, im = _power_over_factorial(mag, turns, r)
+            w = math.perm(j, r) * math.perm(k, r)
             key = (j - r, k - r)
-            add = c.scale(q)
-            cur = out.terms.get(key, Coeff()) + add
-            if cur.is_zero():
-                out.terms.pop(key, None)
-            else:
-                out.terms[key] = cur
-    return out
+            terms[key] = terms.get(key, Coeff()) + c.scale(w * re, w * im)
+    return PhaseSpacePolynomial(poly.basis, terms, poly.lam)
 
 
 def mccoy_quantize(f: PhaseSpacePolynomial) -> NormalOrderedOperatorPoly:
@@ -346,9 +343,8 @@ def mccoy_quantize(f: PhaseSpacePolynomial) -> NormalOrderedOperatorPoly:
     Applies exp(+(1/2) d_a d_a*) and reads the result with a* to the left,
     i.e. the coefficient of a^j (a*)^k becomes that of (a^dag)^k a^j.
     """
-    g = _apply_exp_mixed_deriv(f if f.basis == "a" else convert_basis(f, "a"), +1)
-    return NormalOrderedOperatorPoly(
-        {(k, j): c for (j, k), c in g.terms.items()}, g.lam)
+    g = _exp_mixed_deriv(f if f.basis == "a" else convert_basis(f, "a"), _ONE_HALF, 0)
+    return NormalOrderedOperatorPoly(_swapped(g.terms), g.lam)
 
 
 def mccoy_x_ordered_symbol(f: PhaseSpacePolynomial) -> PhaseSpacePolynomial:
@@ -356,29 +352,14 @@ def mccoy_x_ordered_symbol(f: PhaseSpacePolynomial) -> PhaseSpacePolynomial:
     with x to the left gives the x-ordered operator."""
     if f.basis != "xp":
         raise ValueError("x-ordered McCoy acts on the (x, p) basis")
-    out = PhaseSpacePolynomial.zero("xp", f.lam)
-    for (j, k), c in f.terms.items():
-        for r in range(min(j, k) + 1):
-            num = (math.factorial(j) // math.factorial(j - r)) * \
-                  (math.factorial(k) // math.factorial(k - r))
-            mag = Fraction(num, 2**r * math.factorial(r)) * f.lam**r
-            i_mod = (-r) % 4    # (-i)^r = i^((-r) mod 4)
-            re, im = {0: (mag, 0), 1: (0, mag), 2: (-mag, 0), 3: (0, -mag)}[i_mod]
-            key = (j - r, k - r)
-            cur = out.terms.get(key, Coeff()) + c.scale(re, im)
-            if cur.is_zero():
-                out.terms.pop(key, None)
-            else:
-                out.terms[key] = cur
-    return out
+    return _exp_mixed_deriv(f, f.lam * _ONE_HALF, 3)
 
 
 def wigner_transform_operator(op: NormalOrderedOperatorPoly) -> PhaseSpacePolynomial:
     """Wigner symbol of a normal-ordered operator; exact inverse of
     :func:`mccoy_quantize` (e.g. a^dag a -> a* a - 1/2)."""
-    sym = PhaseSpacePolynomial(
-        "a", {(k, j): c for (j, k), c in op.terms.items()}, op.lam)
-    return _apply_exp_mixed_deriv(sym, -1)
+    sym = PhaseSpacePolynomial("a", _swapped(op.terms), op.lam)
+    return _exp_mixed_deriv(sym, _ONE_HALF, 2)
 
 
 # -- model-specific constructions ---------------------------------------------
@@ -403,8 +384,7 @@ def effective_hamiltonian_surface(delta, kerr, eps2, eps4=0, lam=1,
     """
     op = hamiltonian_operator_poly(delta, kerr, eps2, eps4, lam)
     if classical:
-        sym = PhaseSpacePolynomial(
-            "a", {(k, j): c for (j, k), c in op.terms.items()}, op.lam)
+        sym = PhaseSpacePolynomial("a", _swapped(op.terms), op.lam)
     else:
         sym = wigner_transform_operator(op)
     return convert_basis(sym, "xp")

@@ -71,9 +71,9 @@ class TunnelSplitting:
 
 
 def _commutes_with_parity(h: np.ndarray, tol: float) -> bool:
-    dim = h.shape[0]
-    odd_mask = (np.add.outer(np.arange(dim), np.arange(dim)) % 2).astype(bool)
-    return np.max(np.abs(h[odd_mask])) <= tol
+    """True when every even<->odd Fock element (i + j odd) is within ``tol``."""
+    return max(np.abs(h[0::2, 1::2]).max(),
+               np.abs(h[1::2, 0::2]).max()) <= tol
 
 
 def eigensystem(h: np.ndarray, hermitian_tol: float = 1e-10) -> EigenSystem:
@@ -356,16 +356,12 @@ def quartic_drive_spectrum(p: HamiltonianParams, delta_grid: np.ndarray) -> Swee
     """Top even/odd gap vs delta for the quartic-drive variant (eps2 = 0)."""
     out = SweepResult(["delta", "eps4", "gap_signed", "abs_gap"])
     for d in np.asarray(delta_grid, dtype=float):
-        es = eigensystem(build_hamiltonian(p.with_(delta=float(d))))
-        ge = es.top_state(1)[0] - es.top_state(-1)[0]
-        out.append(float(d), p.eps4, ge, abs(ge))
+        ts = tunnel_splitting(p.with_(delta=float(d)))
+        out.append(float(d), p.eps4, ts.delta_e, ts.abs_delta_e)
     out.meta["zeros"] = _grid_zeros(out.column("delta"), out.column("gap_signed"),
                                     partial(quartic_crossing_location, p))
     return out
 
 
 def quartic_crossing_location(p: HamiltonianParams, lo: float, hi: float) -> float:
-    def gap(d):
-        es = eigensystem(build_hamiltonian(p.with_(delta=float(d))))
-        return es.top_state(1)[0] - es.top_state(-1)[0]
-    return brentq(gap, lo, hi, xtol=1e-10)
+    return brentq(signed_splitting, lo, hi, args=(p,), xtol=1e-10)

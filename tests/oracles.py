@@ -4,8 +4,13 @@ These deliberately avoid the code paths they verify: eigenvalues via cyclic
 Jacobi rotations or characteristic-polynomial companion roots instead of
 LAPACK, Wigner values via the position-basis quadrature integral instead of
 displaced parity, separatrix areas via adaptive quadrature instead of the
-closed forms.
+closed forms, and the exact phase-space algebra as the literal
+bidifferential series built from polynomial derivatives and pointwise
+products instead of the per-monomial-pair kernel.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
@@ -115,3 +120,33 @@ def newton_critical_point(delta, eps2, kerr, x0, p0, metapotential, steps=60):
         if np.linalg.norm(step) < 1e-12:
             break
     return z
+
+
+def star_term_series(f, g, n):
+    """u^n/n! sum_k C(n,k) (-1)^k (d_0^(n-k) d_1^k f)(d_1^(n-k) d_0^k g), with
+    u = 1/2 in (a, a*) and i lambda/2 in (x, p), from derivative polynomials."""
+    out = f.scale(0)
+    for k in range(n + 1):
+        term = f.deriv(0, n - k).deriv(1, k) * g.deriv(1, n - k).deriv(0, k)
+        out = out + term.scale(Fraction((-1) ** k * math.comb(n, k), math.factorial(n)))
+    for _ in range(n):
+        out = out.scale(Fraction(1, 2)) if f.basis == "a" else out.scale(0, f.lam / 2)
+    return out
+
+
+def star_product_series(f, g):
+    """Every order up to deg f + deg g, past which all derivatives vanish."""
+    out = f.scale(0)
+    for n in range(f.degree() + g.degree() + 1):
+        out = out + star_term_series(f, g, n)
+    return out
+
+
+def exp_mixed_deriv_series(f, re, im=0):
+    """exp(c d_0 d_1) f = sum_r c^r / r! (d_0 d_1)^r f with c = re + i im."""
+    out, term, r = f.scale(0), f, 0
+    while not term.is_zero():
+        out = out + term
+        r += 1
+        term = term.deriv(0).deriv(1).scale(re, im).scale(Fraction(1, r))
+    return out

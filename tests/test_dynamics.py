@@ -340,3 +340,15 @@ def test_closed_protocol_with_mixed_initial_state():
     assert traj.s[0] == pytest.approx(0.4, abs=1e-3)
     assert np.abs(traj.s - ref.s).max() < 1e-8
     assert np.abs(traj.nbar - ref.nbar).max() < 1e-8
+
+
+def test_unitary_from_vector_matches_its_density_matrix():
+    p = HamiltonianParams(delta=1.0, eps2=0.5, dim=20)
+    right, left = localized_pair(eigensystem(build_hamiltonian(p)), 0)
+    psi = 1.1 * (0.8 * right + 0.6j * left)     # deliberately not normalised
+    common = dict(t_final=3.0, n_samples=7, n_pairs=1, method="unitary")
+    pure = evolve(cfg_of(p, **common, initial_state=psi))
+    mixed = evolve(cfg_of(p, **common, initial_state=np.outer(psi, psi.conj())))
+    for name in ("s", "x_expect", "nbar", "trace", "purity"):
+        assert np.abs(getattr(pure, name) - getattr(mixed, name)).max() < 1e-12, name
+    assert np.abs(pure.rho_final - mixed.rho_final).max() < 1e-12

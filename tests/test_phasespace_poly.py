@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerrcat.phasespace.coeff import Coeff
 from kerrcat.phasespace.poly import (NormalOrderedOperatorPoly,
@@ -16,6 +18,8 @@ from kerrcat.phasespace.poly import (NormalOrderedOperatorPoly,
                                      moyal_bracket, p_var, poisson_bracket,
                                      star_commutator, star_product, star_term,
                                      wigner_transform_operator, x_var)
+from oracles import (exp_mixed_deriv_series, star_product_series,
+                     star_term_series)
 
 HALF = Fraction(1, 2)
 
@@ -36,6 +40,23 @@ def random_poly(basis, rng, degree=4, lam=1):
             if num:
                 terms[(j, k)] = Coeff.of(Fraction(num, rng.randrange(1, 4)))
     return PhaseSpacePolynomial(basis, terms, lam)
+
+
+_MONOMIALS = [(j, k) for j in range(5) for k in range(5 - j)]
+_FRACTIONS = st.fractions(-3, 3, max_denominator=3)
+_GAUSSIAN = st.builds(Coeff.of, _FRACTIONS, _FRACTIONS)
+_LAMBDAS = st.sampled_from((1, Fraction(1, 3)))
+
+
+@st.composite
+def exact_polys(draw, basis, lam):
+    """Degree <= 4 with Gaussian-rational coefficients plus terms written in
+    the other basis, whose odd monomials bring sqrt(2 lam) parts along."""
+    def terms():
+        return draw(st.dictionaries(st.sampled_from(_MONOMIALS), _GAUSSIAN, max_size=4))
+    other = "xp" if basis == "a" else "a"
+    return (PhaseSpacePolynomial(basis, terms(), lam)
+            + convert_basis(PhaseSpacePolynomial(other, terms(), lam), basis))
 
 
 # -- Wigner transform table ----------------------------------------------------
@@ -339,3 +360,29 @@ def test_integral_of_star_equals_integral_of_product():
             total += pref * _weighted_integral(df * dg)
     plain = _weighted_integral(f * g)
     assert abs(total - plain) < 1e-6 * max(1.0, abs(plain))
+
+
+# -- independent series oracles ----------------------------------------------------
+
+@settings(deadline=None, max_examples=25)
+@given(st.data(), st.sampled_from(("a", "xp")), _LAMBDAS)
+def test_star_matches_bidifferential_series(data, basis, lam):
+    f = data.draw(exact_polys(basis, lam))
+    g = data.draw(exact_polys(basis, lam))
+    for n in range(5):
+        assert star_term(f, g, n) == star_term_series(f, g, n)
+    assert star_product(f, g) == star_product_series(f, g)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.data(), _LAMBDAS)
+def test_mccoy_maps_match_exp_series(data, lam):
+    f = data.draw(exact_polys("xp", lam))
+    fa = convert_basis(f, "a")
+
+    def read_normal_ordered(sym):     # a^j (a*)^k -> (a^dag)^k a^j
+        return NormalOrderedOperatorPoly({(k, j): c for (j, k), c in sym.terms.items()}, lam)
+    expected = read_normal_ordered(exp_mixed_deriv_series(fa, HALF))
+    assert mccoy_quantize(f) == mccoy_quantize(fa) == expected
+    assert wigner_transform_operator(read_normal_ordered(fa)) == exp_mixed_deriv_series(fa, -HALF)
+    assert mccoy_x_ordered_symbol(f) == exp_mixed_deriv_series(f, 0, -Fraction(lam) / 2)

@@ -34,6 +34,16 @@ def test_random_hermitian_matches_charpoly_oracle():
     es = eigensystem(m)
     assert es.parities is None
     assert np.abs(np.sort(es.eigenvalues) - charpoly_roots(m)).max() < 1e-8
+    # real, odd dimension: parity-commuting but for one even<->odd element in
+    # the last row and column
+    r = rng.normal(size=(7, 7))
+    r = (r + r.T) / 2
+    r[np.add.outer(np.arange(7), np.arange(7)) % 2 == 1] = 0.0
+    assert eigensystem(r).parities is not None
+    r[6, 5] = r[5, 6] = 0.3
+    es = eigensystem(r)
+    assert es.parities is None
+    assert np.abs(np.sort(es.eigenvalues) - charpoly_roots(r)).max() < 1e-8
 
 
 def test_eigensystem_rejects_non_hermitian():
