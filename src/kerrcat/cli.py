@@ -238,7 +238,7 @@ def cmd_lindblad(cfg: dict, args) -> SweepResult:
         return table
 
     names, points = _grid(cfg)
-    table = SweepResult([*names, "t_x", "lower_bound", "error"])
+    table = SweepResult([*names, "t_x", "lower_bound", "rank", "error"])
 
     def one(point):
         over = dict(zip(names, point))
@@ -248,9 +248,9 @@ def cmd_lindblad(cfg: dict, args) -> SweepResult:
             est = dynamics.tx_lifetime(dynamics.LindbladConfig(
                 params=p, kappa=kw.get("kappa", kappa),
                 n_th=kw.get("n_th", n_th), t_final=t_final))
-            return (*point, est.t_x, est.lower_bound, "")
+            return (*point, est.t_x, est.lower_bound, est.rank, "")
         except Exception as exc:   # numeric failure: row carries the code
-            return (*point, float("nan"), False, type(exc).__name__)
+            return (*point, float("nan"), False, "", type(exc).__name__)
 
     for row in _parallel_map(one, points, _n_threads(args)):
         table.append(*row)

@@ -72,8 +72,8 @@ class TunnelSplitting:
 
 def _commutes_with_parity(h: np.ndarray, tol: float) -> bool:
     """True when every even<->odd Fock element (i + j odd) is within ``tol``."""
-    return max(np.abs(h[0::2, 1::2]).max(),
-               np.abs(h[1::2, 0::2]).max()) <= tol
+    return max(np.abs(h[0::2, 1::2]).max(initial=0.0),
+               np.abs(h[1::2, 0::2]).max(initial=0.0)) <= tol
 
 
 def eigensystem(h: np.ndarray, hermitian_tol: float = 1e-10) -> EigenSystem:

@@ -6,7 +6,9 @@ LAPACK, Wigner values via the position-basis quadrature integral instead of
 displaced parity, separatrix areas via adaptive quadrature instead of the
 closed forms, and the exact phase-space algebra as the literal
 bidifferential series built from polynomial derivatives and pointwise
-products instead of the per-monomial-pair kernel.
+products instead of the per-monomial-pair kernel.  The reduced Liouvillian
+is written with ``np.kron`` instead of the entry-wise builder over index
+pairs, in the same order of operations, so the two agree bit for bit.
 """
 
 import math
@@ -150,3 +152,18 @@ def exp_mixed_deriv_series(f, re, im=0):
         r += 1
         term = term.deriv(0).deriv(1).scale(re, im).scale(Fraction(1, r))
     return out
+
+
+def kron_liouvillian(e_r, a_r, kappa, n_th):
+    """Thermal Liouvillian in an eigenbasis (energies ``e_r``, annihilator
+    ``a_r``) acting on row-major flattened rho, written with ``np.kron``."""
+    eye = np.eye(len(e_r))
+    liou = (-1j * (np.kron(np.diag(e_r), eye)
+                   - np.kron(eye, np.diag(e_r)))).astype(complex)
+    for rate, op in ((kappa * (1 + n_th), a_r), (kappa * n_th, a_r.conj().T)):
+        if rate > 0:
+            od_o = op.conj().T @ op
+            liou += rate * (np.kron(op, op.conj())
+                            - 0.5 * np.kron(od_o, eye)
+                            - 0.5 * np.kron(eye, od_o.T))
+    return liou

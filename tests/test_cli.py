@@ -272,6 +272,24 @@ def test_lindblad_tx_sweep(tmp_path):
     assert len(rows) == 2
     tx = [float(r[header.index("t_x")]) for r in rows]
     assert tx[1] > tx[0] > 10.0
+    assert header.index("rank") == header.index("lower_bound") + 1
+    assert all(32 <= int(r[header.index("rank")]) <= 40 for r in rows)
+
+
+def test_lindblad_tx_error_row_has_empty_rank(tmp_path):
+    # kappa = 0 has no well-switching decay: the row carries the error code
+    cfg = {
+        "fixed": {"eps2": 2.17, "dim": 40, "n_th": 0.05, "t_final": 1500.0},
+        "axes": [{"name": "kappa", "start": 0.0, "stop": 0.02, "count": 2}],
+    }
+    out = tmp_path / "tx.csv"
+    rc = cli.main(["lindblad", "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(out)])
+    assert rc == 3
+    header, rows = read_csv(out)
+    i_rank, i_err = header.index("rank"), header.index("error")
+    assert (rows[0][i_rank], rows[0][i_err]) == ("", "ValueError")
+    assert int(rows[1][i_rank]) >= 32 and rows[1][i_err] == ""
 
 
 def test_cli_entry_point_subprocess(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kerrcat.dynamics
 from kerrcat.dynamics import (LindbladConfig, RampProtocol, RampSegment,
@@ -9,6 +11,8 @@ from kerrcat.dynamics import (LindbladConfig, RampProtocol, RampSegment,
 from kerrcat.errors import IntegrationError
 from kerrcat.fock import HamiltonianParams, build_hamiltonian, parity_operator
 from kerrcat.spectra import eigensystem, localized_pair, tunnel_splitting
+
+from oracles import kron_liouvillian
 
 
 def cfg_of(p, **kw):
@@ -275,6 +279,65 @@ def test_tx_lower_bound_flag():
     est = tx_lifetime(cfg)
     assert est.lower_bound
     assert est.t_x == pytest.approx(40.0, rel=0.1)
+
+
+def test_tx_lower_bound_threshold_is_two_sided():
+    # no decay is resolved before s/s0 = 0.95, i.e. t = T_X ln(1/0.95)
+    p = HamiltonianParams(delta=2.0, eps2=2.17, dim=40)
+    t_x = tx_lifetime(cfg_of(p, kappa=1 / 50, n_th=0.05, t_final=1e5)).t_x
+    threshold = t_x * np.log(1 / 0.95)
+    short = tx_lifetime(cfg_of(p, kappa=1 / 50, n_th=0.05,
+                               t_final=0.99 * threshold))
+    assert short.lower_bound and short.t_x == 0.99 * threshold
+    long = tx_lifetime(cfg_of(p, kappa=1 / 50, n_th=0.05,
+                              t_final=1.01 * threshold))
+    assert not long.lower_bound and long.t_x == t_x
+
+
+def test_tx_rank_certificate_raises_a_too_small_rank():
+    # rank 4 holds rho(0) to 2e-13 but misses the gap (T_X 16766 before the
+    # rank r vs r + 12 check); the rank loop must raise it on its own
+    p = HamiltonianParams(delta=2.0, eps2=2.17, dim=60)
+    est = tx_lifetime(cfg_of(p, kappa=1 / 50, n_th=0.05, t_final=20000.0,
+                             rank=4))
+    assert est.rank > 4
+    assert est.trace_error < 1e-6
+    assert est.t_x == pytest.approx(TX_GOLDEN_D2, rel=0.02)
+
+
+def test_tx_gap_matches_time_domain_fit():
+    # fit s(t) = s0 exp(-t / T_X) over s/s0 in [0.2, 0.95] of an exact
+    # eigenbasis propagation, independently of the gap solve
+    p = HamiltonianParams(delta=3.0, eps2=2.17, dim=40)
+    traj = evolve(cfg_of(p, kappa=1 / 50, n_th=0.05, t_final=1200.0,
+                         n_samples=241, method="expm"))
+    rel = traj.s / traj.s[0]
+    window = (rel >= 0.2) & (rel <= 0.95)
+    assert window.sum() >= 8
+    slope = np.polyfit(traj.times[window], np.log(traj.s[window]), 1)[0]
+    est = tx_lifetime(cfg_of(p, kappa=1 / 50, n_th=0.05, t_final=1200.0))
+    assert not est.lower_bound
+    assert est.t_x == pytest.approx(-1.0 / slope, rel=0.02)
+
+
+@settings(max_examples=25, deadline=None)
+@given(delta=st.floats(0.0, 5.0), eps2=st.floats(0.0, 3.0),
+       kappa=st.floats(1e-3, 0.2), n_th=st.floats(0.0, 0.5),
+       rank=st.integers(2, 16))
+def test_reduced_liouvillian_splits_by_parity(delta, eps2, kappa, n_th, rank):
+    p = HamiltonianParams(delta=delta, eps2=eps2, dim=16)
+    sys = kerrcat.dynamics._System(cfg_of(p, kappa=kappa, n_th=n_th))
+    vr, full, _ = kerrcat.dynamics._reduced_liouvillian(sys, rank)
+    reference = kron_liouvillian(sys.es.eigenvalues[:rank],
+                                 vr.conj().T @ sys.a @ vr, kappa, n_th)
+    assert full.tobytes() == reference.tobytes()
+    par = sys.es.parities[:rank]
+    odd_pair = (par[:, None] != par[None, :]).ravel()
+    odd, even = np.flatnonzero(odd_pair), np.flatnonzero(~odd_pair)
+    assert np.all(full[np.ix_(even, odd)] == 0)
+    assert np.all(full[np.ix_(odd, even)] == 0)
+    block = kerrcat.dynamics._odd_block(sys, rank)
+    assert block.tobytes() == full[np.ix_(odd, odd)].tobytes()
 
 
 # -- ramps -------------------------------------------------------------------------

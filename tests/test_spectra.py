@@ -46,6 +46,19 @@ def test_random_hermitian_matches_charpoly_oracle():
     assert np.abs(np.sort(es.eigenvalues) - charpoly_roots(r)).max() < 1e-8
 
 
+def test_eigensystem_of_smallest_matrices():
+    # 1x1: no even<->odd element at all; 2x2: one pair of them
+    es = eigensystem(np.array([[1.0]]))
+    assert es.eigenvalues.tolist() == [1.0]
+    assert es.parities.tolist() == [1]
+    es = eigensystem(np.array([[1.0, 0.0], [0.0, 3.0]]))
+    assert es.eigenvalues.tolist() == [3.0, 1.0]
+    assert es.parities.tolist() == [-1, 1]
+    es = eigensystem(np.array([[1.0, 0.5], [0.5, 1.0]]))
+    assert es.parities is None
+    assert np.allclose(es.eigenvalues, [1.5, 0.5])
+
+
 def test_eigensystem_rejects_non_hermitian():
     with pytest.raises(ValueError):
         eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
