@@ -139,7 +139,8 @@ def _parallel_map(fn, items, n_threads):
         return list(pool.map(fn, items))
 
 
-def _write(table: SweepResult, out: str, fmt: str):
+def _write(table, out: str, fmt: str):
+    """Write a ``SweepResult`` or a ``WignerGrid`` as CSV or JSON."""
     if fmt == "csv":
         table.to_csv(out)
     else:
@@ -149,9 +150,7 @@ def _write(table: SweepResult, out: str, fmt: str):
 # -- subcommand bodies ----------------------------------------------------------
 
 def _splitting_point(cfg, names, point):
-    over = dict(zip(names, point))
-    delta = float(over.pop("delta", cfg.get("fixed", {}).get("delta", 0.0)))
-    p = _params(cfg, **over, delta=delta)
+    p = _params(cfg, **dict(zip(names, point)))
     err = ""
     geo = semiclassical.geometry(p.delta, p.eps2, p.kerr)
     n_ebk = semiclassical.ebk_levels_exact(p.delta, p.eps2, p.kerr)
@@ -215,10 +214,7 @@ def cmd_wigner(cfg: dict, args) -> None:
     grid_cfg = cfg.get("grid", {})
     wg = wigner_function(state, points=int(grid_cfg.get("points", 201)),
                          extent=grid_cfg.get("extent"))
-    if args.format == "csv":
-        wg.to_csv(args.out)
-    else:
-        wg.to_json(args.out)
+    _write(wg, args.out, args.format)
 
 
 def cmd_lindblad(cfg: dict, args) -> SweepResult:

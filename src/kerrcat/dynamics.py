@@ -7,17 +7,20 @@ One propagation core serves every route and one observer samples them all:
   drift -iH(t) + damping under step-halving control; ramp protocols use it
   with a time-dependent H, or exact quasi-static steps for a closed pure state;
 * ``expm``    - exact stepping with exp(L tau) of the Liouvillian projected
-  onto the top eigenvectors of H.  The rank is raised until the trace error
-  is below tolerance; the projected Lindbladian keeps the trace exactly, so
-  this only certifies that the basis holds rho(0), not the truncation.
+  onto the top eigenvectors of H, one propagator per parity block.  The rank
+  is raised until the basis holds tr rho(0) to 1e-6; the projected
+  Lindbladian keeps the trace exactly, so this certifies the basis, not the
+  truncation.
 
-``tx_lifetime`` does not step in time: photon parity is a weak symmetry of
-the Lindbladian, so the well signal lives in the block of rho_ij (eigenbasis
-of H) with opposite parities i, j, and T_X = -1 / Re lambda_1 follows from
-that block's eigenvalue nearest 0.  It is certified by the trace of the
-projected rho(0) and by agreement of T_X between rank r and r + 12, which
-makes lifetimes of order 10^3..10^4 /K cost one small eigensolve.  The full
-matrix and the block are built by one entry-wise builder.
+Photon parity is a weak symmetry of the Lindbladian: in the eigenbasis of H
+it couples no element rho_ij with equal parities i, j to one with opposite
+parities.  The reduced Liouvillian is therefore only ever built as these two
+blocks (each about half of the rank^2 pairs wide), never as one matrix.
+``tx_lifetime`` does not step in time: the well signal lives in the
+opposite-parity block, and T_X = -1 / Re lambda_1 follows from that block's
+eigenvalue nearest 0.  It is certified by the trace of the projected rho(0)
+and by agreement of T_X between rank r and r + 12, which makes lifetimes of
+order 10^3..10^4 /K cost one small eigensolve.
 """
 
 from __future__ import annotations
@@ -337,7 +340,7 @@ def _liouvillian_entries(sys: _System, rank: int, rows, cols) -> np.ndarray:
 
     Each element is computed as in the Kronecker form
     kron(A, B)[(i, j), (k, l)] = A[i, k] B[j, l], in the same order, so any
-    block equals the same block of the full matrix bit for bit.
+    block equals the same block of the Kronecker-form matrix bit for bit.
     """
     cfg = sys.cfg
     vr = sys.es.eigenvectors[:, :rank]
@@ -361,23 +364,32 @@ def _liouvillian_entries(sys: _System, rank: int, rows, cols) -> np.ndarray:
     return liou
 
 
-def _reduced_liouvillian(sys: _System, rank: int):
-    """Basis of the top ``rank`` eigenvectors of H, the full Liouvillian
-    projected onto it and the projected initial state."""
-    vr = sys.es.eigenvectors[:, :rank]
-    pairs = np.divmod(np.arange(vr.shape[1] ** 2), vr.shape[1])
-    return (vr, _liouvillian_entries(sys, rank, pairs, pairs),
-            vr.conj().T @ sys.initial_rho() @ vr)
+def _parity_block(sys: _System, rank: int, odd: bool):
+    """Index pairs (i, j) of the top ``rank`` eigenvectors of H with parities
+    i != j (``odd``) or i == j, in row-major order, and the block of the
+    reduced Liouvillian over them.  Parity is a weak symmetry, so the two
+    blocks are the whole Liouvillian: it couples no even pair to an odd one.
+    """
+    par = sys.es.parities[:rank]
+    pairs = np.nonzero((par[:, None] != par[None, :]) == odd)
+    return pairs, _liouvillian_entries(sys, rank, pairs, pairs)
 
 
 def _certified_rank(sys: _System, run):
-    """(rank, run(rank)) for the first rank, raised by 12 at a time, whose
-    error (the last item of ``run(rank)``) is below 1e-6."""
+    """(rank, trace loss of the projected rho(0), run(rank)) for the first
+    rank, raised by 12 at a time, whose basis keeps tr rho(0) to 1e-6 and
+    whose error (the last item of ``run(rank)``) is below 1e-6.  ``run`` is
+    not called at a rank that already loses the trace; the full basis is
+    taken as it is."""
+    rho0 = sys.initial_rho()
     rank = sys.cfg.rank if sys.cfg.rank else min(sys.dim, 32)
     for _ in range(4):
-        out = run(rank)
-        if out[-1] < 1e-6 or rank >= sys.dim:
-            return rank, out
+        vr = sys.es.eigenvectors[:, :rank]
+        loss = abs(1.0 - float(np.real(np.trace(vr.conj().T @ rho0 @ vr))))
+        if loss < 1e-6 or rank >= sys.dim:
+            out = run(rank)
+            if out[-1] < 1e-6 or rank >= sys.dim:
+                return rank, loss, out
         rank = min(sys.dim, rank + 12)
     raise IntegrationError("eigenbasis rank did not certify in 4 tries")
 
@@ -387,18 +399,19 @@ def _evolve_expm(sys: _System) -> Trajectory:
     tau = float(times[1] - times[0])
 
     def run(rank):
-        vr, liou, rho = _reduced_liouvillian(sys, rank)
-        prop = sla.expm(liou * tau)
+        vr = sys.es.eigenvectors[:, :rank]
         ops = tuple(vr.conj().T @ op @ vr for op in sys.ops)
-        vec = rho.flatten()
+        rho = vr.conj().T @ sys.initial_rho() @ vr
+        props = [(pairs, sla.expm(liou * tau)) for pairs, liou in
+                 (_parity_block(sys, rank, odd) for odd in (False, True))]
         rows = [_observe(rho, ops)]
         for _ in times[1:]:
-            vec = prop @ vec
-            rows.append(_observe(vec.reshape(rank, rank), ops))
-        rho_f = vr @ vec.reshape(rank, rank) @ vr.conj().T
-        return rows, rho_f, max(abs(1.0 - row[3]) for row in rows)
+            for pairs, prop in props:
+                rho[pairs] = prop @ rho[pairs]
+            rows.append(_observe(rho, ops))
+        return rows, vr @ rho @ vr.conj().T, max(abs(1.0 - row[3]) for row in rows)
 
-    rank, (rows, rho_f, tr_err) = _certified_rank(sys, run)
+    rank, _, (rows, rho_f, tr_err) = _certified_rank(sys, run)
     return _traj_from_samples(times, rows, rho_f,
                               {"method": "expm", "rank": rank,
                                "trace_error": tr_err})
@@ -479,34 +492,22 @@ def tx_lifetime(cfg: LindbladConfig) -> TxEstimate:
     if cfg.kappa <= 0:
         raise ValueError("tx_lifetime requires kappa > 0")
     sys = _System(cfg)
-    rho0 = sys.initial_rho()
     gaps = {}
 
     def t_x_at(rank):
         if rank not in gaps:
-            vr = sys.es.eigenvectors[:, :rank]
-            tr_err = abs(1.0 - float(np.real(np.trace(vr.conj().T @ rho0 @ vr))))
-            gaps[rank] = -1.0 / _gap(_odd_block(sys, rank)).real, tr_err
+            gaps[rank] = -1.0 / _gap(_parity_block(sys, rank, True)[1]).real
         return gaps[rank]
 
     def run(rank):
-        t_x, tr_err = t_x_at(rank)
-        t_next, _ = t_x_at(min(sys.dim, rank + 12))
-        converged = abs(t_next - t_x) <= 1e-6 * abs(t_x)
-        return t_x, tr_err, tr_err if converged else np.inf
+        t_x = t_x_at(rank)
+        converged = abs(t_x_at(min(sys.dim, rank + 12)) - t_x) <= 1e-6 * abs(t_x)
+        return t_x, 0.0 if converged else np.inf
 
-    rank, (t_x, tr_err, _) = _certified_rank(sys, run)
+    rank, tr_err, (t_x, _) = _certified_rank(sys, run)
     if cfg.t_final < t_x * np.log(1 / 0.95):
         return TxEstimate(float(cfg.t_final), True, rank, tr_err)
     return TxEstimate(float(t_x), False, rank, tr_err)
-
-
-def _odd_block(sys: _System, rank: int) -> np.ndarray:
-    """Block of the reduced Liouvillian over the pairs (i, j) of the top
-    ``rank`` eigenvectors with parities i != j, in row-major order."""
-    par = sys.es.parities[:rank]
-    pairs = np.nonzero(par[:, None] != par[None, :])
-    return _liouvillian_entries(sys, rank, pairs, pairs)
 
 
 def _gap(block: np.ndarray) -> complex:

@@ -1,10 +1,10 @@
 """Eigenanalysis: parity-resolved spectra, tunnel splittings, degeneracies.
 
-The eigensolver exploits the structure of the model: for real Hamiltonians
-that conserve photon-number parity (couplings n <-> n+2, n+4 only) the even
-and odd Fock sub-blocks are diagonalised separately and merged, which labels
-every eigenvector with an exact parity and resolves degenerate pairs without
-ambiguity.
+The eigensolver exploits the structure of the model: for Hamiltonians, real
+or complex, that conserve photon-number parity (couplings n <-> n+2, n+4
+only) the even and odd Fock sub-blocks are diagonalised separately and
+merged, which labels every eigenvector with an exact parity and resolves
+degenerate even/odd pairs without ambiguity.
 """
 
 from __future__ import annotations
@@ -79,70 +79,36 @@ def _commutes_with_parity(h: np.ndarray, tol: float) -> bool:
 def eigensystem(h: np.ndarray, hermitian_tol: float = 1e-10) -> EigenSystem:
     """Diagonalise a Hermitian matrix, descending order, with parity labels.
 
-    Raises on non-Hermitian input.  Parity labels are assigned only when the
-    matrix commutes with the photon-number parity; degenerate subspaces of a
-    parity-commuting matrix are resolved by re-diagonalising the parity
-    operator inside them.
+    Raises on non-Hermitian input.  A matrix that commutes with the photon
+    parity, real or complex, is diagonalised block by block over the even
+    and odd Fock indices, so every eigenvector carries an exact parity (and
+    is exactly 0 on the other parity's indices); any other matrix gets a
+    dense solve and no parity labels.
     """
     h = np.asarray(h)
     scale = max(1.0, np.abs(h).max())
     if np.abs(h - h.conj().T).max() > hermitian_tol * scale:
         raise ValueError("input matrix is not Hermitian")
     dim = h.shape[0]
-    parity_ok = _commutes_with_parity(h, 1e-13 * scale)
+    if not _commutes_with_parity(h, 1e-13 * scale):
+        w, v = np.linalg.eigh(h)
+        return EigenSystem(w[::-1], None, v[:, ::-1], dim)
 
-    if parity_ok and np.isrealobj(h):
-        # exact block diagonalisation over even/odd Fock indices
-        vals = np.empty(dim)
-        pars = np.empty(dim, dtype=int)
-        vecs = np.zeros((dim, dim))
-        pos = 0
-        for par in (1, -1):
-            idx = np.arange(0 if par == 1 else 1, dim, 2)
-            w, v = np.linalg.eigh(h[np.ix_(idx, idx)])
-            k = len(idx)
-            vals[pos:pos + k] = w
-            pars[pos:pos + k] = par
-            vecs[np.ix_(idx, np.arange(pos, pos + k))] = v
-            pos += k
-        # descending energy; even member first on exact ties
-        order = np.lexsort((-pars, -vals))
-        return EigenSystem(vals[order], pars[order], vecs[:, order], dim)
-
-    w, v = np.linalg.eigh(h)
-    w = w[::-1]
-    v = v[:, ::-1]
-    if not parity_ok:
-        return EigenSystem(w, None, v, dim)
-
-    pdiag = (-1.0) ** np.arange(dim)
-    expect = np.real(np.einsum("ij,i,ij->j", v.conj(), pdiag, v))
-    if np.min(np.abs(expect)) < 0.999:
-        # mixed degenerate subspaces: re-diagonalise parity within each group
-        groups = _degenerate_groups(w, 1e-9 * max(1.0, np.abs(w).max()))
-        for g in groups:
-            if len(g) == 1:
-                continue
-            sub = v[:, g]
-            pv, pu = np.linalg.eigh(sub.conj().T @ (pdiag[:, None] * sub))
-            v[:, g] = sub @ pu
-        expect = np.real(np.einsum("ij,i,ij->j", v.conj(), pdiag, v))
-    if np.max(np.abs(np.abs(expect) - 1.0)) > 1e-6:
-        raise ParityResolutionError("eigenvector parity not within 1e-6 of +/-1")
-    pars = np.where(expect > 0, 1, -1)
-    return EigenSystem(w, pars, v, dim)
-
-
-def _degenerate_groups(w_desc: np.ndarray, tol: float) -> list:
-    groups, cur = [], [0]
-    for i in range(1, len(w_desc)):
-        if abs(w_desc[i] - w_desc[cur[-1]]) < tol:
-            cur.append(i)
-        else:
-            groups.append(cur)
-            cur = [i]
-    groups.append(cur)
-    return groups
+    vals = np.empty(dim)
+    pars = np.empty(dim, dtype=int)
+    vecs = np.zeros((dim, dim), dtype=complex if np.iscomplexobj(h) else float)
+    pos = 0
+    for par in (1, -1):
+        idx = np.arange(0 if par == 1 else 1, dim, 2)
+        w, v = np.linalg.eigh(h[np.ix_(idx, idx)])
+        k = len(idx)
+        vals[pos:pos + k] = w
+        pars[pos:pos + k] = par
+        vecs[np.ix_(idx, np.arange(pos, pos + k))] = v
+        pos += k
+    # descending energy; even member first on exact ties
+    order = np.lexsort((-pars, -vals))
+    return EigenSystem(vals[order], pars[order], vecs[:, order], dim)
 
 
 def tunnel_splitting(p: HamiltonianParams) -> TunnelSplitting:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import kerrcat.dynamics
 from kerrcat.dynamics import (LindbladConfig, RampProtocol, RampSegment,
@@ -327,17 +328,63 @@ def test_tx_gap_matches_time_domain_fit():
 def test_reduced_liouvillian_splits_by_parity(delta, eps2, kappa, n_th, rank):
     p = HamiltonianParams(delta=delta, eps2=eps2, dim=16)
     sys = kerrcat.dynamics._System(cfg_of(p, kappa=kappa, n_th=n_th))
-    vr, full, _ = kerrcat.dynamics._reduced_liouvillian(sys, rank)
-    reference = kron_liouvillian(sys.es.eigenvalues[:rank],
-                                 vr.conj().T @ sys.a @ vr, kappa, n_th)
-    assert full.tobytes() == reference.tobytes()
+    vr = sys.es.eigenvectors[:, :rank]
+    full = kron_liouvillian(sys.es.eigenvalues[:rank],
+                            vr.conj().T @ sys.a @ vr, kappa, n_th)
     par = sys.es.parities[:rank]
     odd_pair = (par[:, None] != par[None, :]).ravel()
     odd, even = np.flatnonzero(odd_pair), np.flatnonzero(~odd_pair)
     assert np.all(full[np.ix_(even, odd)] == 0)
     assert np.all(full[np.ix_(odd, even)] == 0)
-    block = kerrcat.dynamics._odd_block(sys, rank)
-    assert block.tobytes() == full[np.ix_(odd, odd)].tobytes()
+    for is_odd, index in ((False, even), (True, odd)):
+        pairs, block = kerrcat.dynamics._parity_block(sys, rank, is_odd)
+        assert np.array_equal(np.ravel_multi_index(pairs, (rank, rank)), index)
+        assert block.tobytes() == full[np.ix_(index, index)].tobytes()
+
+
+@pytest.mark.parametrize("rank", [1, 4, 10])
+def test_expm_blocks_match_full_oracle_propagation(rank):
+    # a random mixed state inside the top-rank eigenbasis, so the rank holds
+    # it; the full-matrix oracle propagator catches a mis-scattered block
+    p = HamiltonianParams(delta=2.5, eps2=1.2, dim=20)
+    common = dict(kappa=0.05, n_th=0.1, t_final=40.0, n_samples=21, n_pairs=1)
+    sys = kerrcat.dynamics._System(cfg_of(p, **common))
+    vr = sys.es.eigenvectors[:, :rank]
+    rng = np.random.default_rng(rank)
+    m = rng.normal(size=(rank, rank)) + 1j * rng.normal(size=(rank, rank))
+    rho = m @ m.conj().T / np.trace(m @ m.conj().T)
+    traj = evolve(cfg_of(p, **common, method="expm", rank=rank,
+                         initial_state=vr @ rho @ vr.conj().T))
+    assert traj.meta["rank"] == rank
+    full = kron_liouvillian(sys.es.eigenvalues[:rank],
+                            vr.conj().T @ sys.a @ vr, 0.05, 0.1)
+    prop = expm(full * (traj.times[1] - traj.times[0]))
+    ops = [vr.conj().T @ op @ vr for op in sys.ops]
+    vec = rho.ravel()
+    for k in range(len(traj.times)):
+        if k:
+            vec = prop @ vec
+        r = vec.reshape(rank, rank)
+        got = (traj.s[k], traj.x_expect[k], traj.nbar[k], traj.trace[k],
+               traj.purity[k])
+        want = [np.trace(op @ r).real for op in ops] + [np.trace(r).real,
+                                                        np.trace(r @ r).real]
+        assert np.abs(np.subtract(got, want)).max() < 1e-10, k
+    rho_f = vr @ vec.reshape(rank, rank) @ vr.conj().T
+    assert np.abs(traj.rho_final - rho_f).max() < 1e-10
+
+
+def test_expm_uncertifiable_rank_fails_before_propagating(monkeypatch):
+    # no basis the rank loop tries holds Fock state 39: raise without expm
+    calls = []
+    expm_ = kerrcat.dynamics.sla.expm
+    monkeypatch.setattr(kerrcat.dynamics.sla, "expm",
+                        lambda a: calls.append(a.shape) or expm_(a))
+    p = HamiltonianParams(delta=2.0, eps2=2.17, dim=40)
+    with pytest.raises(IntegrationError):
+        evolve(cfg_of(p, kappa=1 / 50, n_th=0.05, t_final=10.0, n_samples=11,
+                      method="expm", rank=1, initial_state=39))
+    assert calls == []
 
 
 # -- ramps -------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerrcat.errors import PoleError
 from kerrcat.fock import (HamiltonianParams, build_hamiltonian, coherent_state,
@@ -92,6 +94,45 @@ def test_complex_parity_commuting_path_resolves_degeneracies():
     assert es.parities is not None
     ref = eigensystem(build_hamiltonian(p))
     assert np.abs(es.eigenvalues - ref.eigenvalues).max() < 1e-9 * 100
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+       kind=st.sampled_from(["random", "equal_blocks", "phased_hamiltonian"]),
+       is_complex=st.booleans())
+def test_parity_commuting_eigensystem_is_exact_by_blocks(seed, n, kind,
+                                                         is_complex):
+    rng = np.random.default_rng(seed)
+    if kind == "phased_hamiltonian":
+        # exact even/odd degeneracies at delta = 4, conjugated by phases
+        h = build_hamiltonian(HamiltonianParams(delta=4.0, eps2=2.0, dim=40))
+        if is_complex:
+            ph = np.exp(2j * np.pi * rng.random(40))
+            h = ph[:, None] * h * ph.conj()[None, :]
+    else:
+        def hermitian(k):
+            m = rng.normal(size=(k, k))
+            if is_complex:
+                m = m + 1j * rng.normal(size=(k, k))
+            return (m + m.conj().T) / 2
+
+        dim = 2 * n if kind == "equal_blocks" else n + 3
+        h = np.zeros((dim, dim), dtype=complex if is_complex else float)
+        even = hermitian((dim + 1) // 2)
+        h[0::2, 0::2] = even
+        # equal blocks: every level is an exact even/odd pair
+        h[1::2, 1::2] = even if kind == "equal_blocks" else hermitian(dim // 2)
+    es = eigensystem(h)
+    dim = len(h)
+    w, v, par = es.eigenvalues, es.eigenvectors, es.parities
+    assert np.iscomplexobj(v) == np.iscomplexobj(h)
+    assert set(par.tolist()) <= {1, -1}
+    fock_parity = (-1) ** np.arange(dim)
+    assert np.all(v[fock_parity[:, None] != par[None, :]] == 0)
+    assert np.all(np.diff(w) <= 0)
+    scale = max(1.0, np.abs(h).max())
+    assert np.abs(v.conj().T @ v - np.eye(dim)).max() < 1e-10
+    assert np.abs((v * w) @ v.conj().T - h).max() < 1e-10 * scale
 
 
 def test_degenerate_ground_pair_at_zero_detuning():
