@@ -5,9 +5,14 @@
 
 Subcommands: spectrum, splitting, wkb, ebk, geometry, wigner, lindblad,
 calibrate.  The config is a JSON object; ``--set`` overrides win (dotted
-paths address nested keys).  Exit codes: 0 success, 2 config error,
-3 numeric failure (partial results are still written with an error column
-where possible).  KERRCAT_THREADS overrides the worker count.
+paths address nested keys).  A sweep takes a ``fixed`` table and one or two
+``axes``: delta and eps2 for splitting/wkb/ebk/geometry, also eps4 for
+spectrum, also kappa and n_th for lindblad.  Every sweep table ends in an
+``error`` column.  Exit codes: 0 success, 2 config error (including a
+``fixed`` value outside the model's domain; no file is written), 3 numeric
+failure (a point that raises becomes one row with its parameter cells, empty
+result cells and the exception class in ``error``; the table is still
+written).  KERRCAT_THREADS overrides the worker count.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .spectra import eigensystem, localized_pair
 from .tables import SweepResult
 
 SPLITTING_COLUMNS = ["delta", "eps2", "abs_de", "de_signed", "de_wkb",
-                     "n_ebk", "barrier", "area", "phase", "error"]
+                     "n_ebk", "barrier", "area", "phase"]
 
 
 class ConfigError(ValueError):
@@ -72,7 +77,7 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     return cfg
 
 
-def _axis_values(axis: dict) -> np.ndarray:
+def _axis_values(axis: dict, allowed) -> np.ndarray:
     try:
         name = axis["name"]
         start, stop = float(axis["start"]), float(axis["stop"])
@@ -81,8 +86,8 @@ def _axis_values(axis: dict) -> np.ndarray:
         raise ConfigError(f"bad axis spec {axis!r}: {exc}") from exc
     if count < 2:
         raise ConfigError("axis count must be >= 2")
-    if name not in ("delta", "eps2", "eps4", "kappa", "n_th"):
-        raise ConfigError(f"unknown axis name {name!r}")
+    if name not in allowed:
+        raise ConfigError(f"axis {name!r} is not one of {', '.join(allowed)}")
     scale = axis.get("scale", "linear")
     if scale == "log":
         if start <= 0 or stop <= 0:
@@ -93,31 +98,38 @@ def _axis_values(axis: dict) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _grid(cfg: dict):
-    axes = cfg.get("axes")
-    if not axes:
+def _grid(cfg: dict, axes):
+    """(names, points) of the config's swept axes, each named in ``axes``."""
+    specs = cfg.get("axes")
+    if not specs:
         raise ConfigError("config needs an 'axes' list with 1 or 2 entries")
-    if len(axes) > 2:
+    if len(specs) > 2:
         raise ConfigError("at most two swept axes are supported")
-    values = [_axis_values(ax) for ax in axes]
-    names = [ax["name"] for ax in axes]
+    values = [_axis_values(ax, axes) for ax in specs]
+    names = [ax["name"] for ax in specs]
     if len(set(names)) != len(names):
         raise ConfigError("axes must name distinct parameters")
-    if len(axes) == 1:
+    if len(specs) == 1:
         return names, [(v,) for v in values[0]]
     return names, [(u, v) for u in values[0] for v in values[1]]
 
 
 def _params(cfg: dict, **over) -> HamiltonianParams:
-    fixed = dict(cfg.get("fixed", {}))
-    fixed.update(over)
-    return HamiltonianParams(
-        delta=float(fixed.get("delta", 0.0)),
-        kerr=float(fixed.get("kerr", 1.0)),
-        eps2=float(fixed.get("eps2", 0.0)),
-        eps4=float(fixed.get("eps4", 0.0)),
-        dim=int(fixed.get("dim", 0)),
-    )
+    """Model parameters of the ``fixed`` table updated by ``over``.  The
+    ``fixed`` table alone outside the model's domain is a config error."""
+    try:
+        fixed = {**cfg.get("fixed", {}), **over}
+        return HamiltonianParams(
+            delta=float(fixed.get("delta", 0.0)),
+            kerr=float(fixed.get("kerr", 1.0)),
+            eps2=float(fixed.get("eps2", 0.0)),
+            eps4=float(fixed.get("eps4", 0.0)),
+            dim=int(fixed.get("dim", 0)),
+        )
+    except (TypeError, ValueError) as exc:
+        if over:
+            raise
+        raise ConfigError(f"bad fixed parameters: {exc}") from exc
 
 
 def _n_threads(args) -> int:
@@ -139,18 +151,40 @@ def _parallel_map(fn, items, n_threads):
         return list(pool.map(fn, items))
 
 
-def _write(table, out: str, fmt: str):
-    """Write a ``SweepResult`` or a ``WignerGrid`` as CSV or JSON."""
-    if fmt == "csv":
-        table.to_csv(out)
-    else:
-        table.to_json(out)
+def _sweep(cfg: dict, args, axes, columns, point) -> SweepResult:
+    """Table of ``point(params, over)`` rows over the config's grid of
+    ``axes``, in grid order, with the columns ``columns(names)`` + error.
+
+    ``over`` maps the swept names to the point's values.  A point that
+    raises becomes one row: its parameter cells from ``fixed`` and the point,
+    ``None`` in the other result cells, the exception class in ``error``.
+    """
+    names, points = _grid(cfg, axes)
+    fixed = vars(_params(cfg))
+    cols = columns(names)
+    n_threads = _n_threads(args)
+
+    def one(values):
+        over = dict(zip(names, values))
+        try:
+            return point(_params(cfg, **over), over)
+        except Exception as exc:   # numeric failure: the row carries the code
+            cells = {**fixed, **over}
+            return [(*(cells.get(c) for c in cols), type(exc).__name__)]
+
+    table = SweepResult([*cols, "error"])
+    for rows in _parallel_map(one, points, n_threads):
+        for row in rows:
+            table.append(*row)
+    table.meta["subcommand"] = args.command
+    if "seed" in cfg:
+        table.meta["seed"] = int(cfg["seed"])
+    return table
 
 
 # -- subcommand bodies ----------------------------------------------------------
 
-def _splitting_point(cfg, names, point):
-    p = _params(cfg, **dict(zip(names, point)))
+def _splitting_point(p: HamiltonianParams, over) -> list:
     err = ""
     geo = semiclassical.geometry(p.delta, p.eps2, p.kerr)
     n_ebk = semiclassical.ebk_levels_exact(p.delta, p.eps2, p.kerr)
@@ -160,47 +194,29 @@ def _splitting_point(cfg, names, point):
         de_wkb = float("nan")
         err = "wkb-domain"
     ts = spectra.tunnel_splitting(p)
-    return (p.delta, p.eps2, ts.abs_delta_e, ts.delta_e, de_wkb, n_ebk,
-            geo.barrier_height, geo.separatrix_area, geo.region.value, err)
+    return [(p.delta, p.eps2, ts.abs_delta_e, ts.delta_e, de_wkb, n_ebk,
+             geo.barrier_height, geo.separatrix_area, geo.region.value, err)]
 
 
 def cmd_splitting(cfg: dict, args) -> SweepResult:
-    names, points = _grid(cfg)
-    for name in names:
-        if name not in ("delta", "eps2"):
-            raise ConfigError(f"splitting sweeps delta/eps2, not {name!r}")
-    table = SweepResult(SPLITTING_COLUMNS)
-    rows = _parallel_map(lambda pt: _splitting_point(cfg, names, pt), points,
-                         _n_threads(args))
-    for row in rows:
-        table.append(*row)
-    table.meta["subcommand"] = args.command
-    if "seed" in cfg:
-        table.meta["seed"] = int(cfg["seed"])
-    return table
+    return _sweep(cfg, args, ("delta", "eps2"), lambda names: SPLITTING_COLUMNS,
+                  _splitting_point)
 
 
 def cmd_spectrum(cfg: dict, args) -> SweepResult:
-    names, points = _grid(cfg)
     n_levels = int(cfg.get("n_levels", 8))
-    table = SweepResult(["delta", "eps2", "eps4", "level", "energy", "parity"])
 
-    def one(point):
-        over = dict(zip(names, point))
-        p = _params(cfg, **over)
+    def point(p, over):
         es = eigensystem(build_hamiltonian(p))
-        return p, es
+        return [(p.delta, p.eps2, p.eps4, k, float(es.eigenvalues[k]),
+                 int(es.parities[k]), "") for k in range(min(n_levels, p.dim))]
 
-    results = _parallel_map(one, points, _n_threads(args))
-    for p, es in results:
-        for k in range(min(n_levels, p.dim)):
-            table.append(p.delta, p.eps2, p.eps4, k, float(es.eigenvalues[k]),
-                         int(es.parities[k]))
-    table.meta["subcommand"] = "spectrum"
-    return table
+    return _sweep(cfg, args, ("delta", "eps2", "eps4"),
+                  lambda names: ["delta", "eps2", "eps4", "level", "energy",
+                                 "parity"], point)
 
 
-def cmd_wigner(cfg: dict, args) -> None:
+def cmd_wigner(cfg: dict, args):
     p = _params(cfg)
     es = eigensystem(build_hamiltonian(p))
     sel = cfg.get("state", {"eigen": 0})
@@ -212,46 +228,32 @@ def cmd_wigner(cfg: dict, args) -> None:
     else:
         raise ConfigError("state must specify 'eigen' or 'localized'")
     grid_cfg = cfg.get("grid", {})
-    wg = wigner_function(state, points=int(grid_cfg.get("points", 201)),
-                         extent=grid_cfg.get("extent"))
-    _write(wg, args.out, args.format)
+    return wigner_function(state, points=int(grid_cfg.get("points", 201)),
+                           extent=grid_cfg.get("extent"))
+
+
+def _lindblad_config(cfg: dict, p: HamiltonianParams, over: dict, **kw):
+    run = {**cfg.get("fixed", {}), **over}
+    return dynamics.LindbladConfig(
+        params=p, kappa=float(run.get("kappa", 0.02)),
+        n_th=float(run.get("n_th", 0.05)),
+        t_final=float(run.get("t_final", 4000.0)), **kw)
 
 
 def cmd_lindblad(cfg: dict, args) -> SweepResult:
-    fixed = cfg.get("fixed", {})
-    kappa = float(fixed.get("kappa", 0.02))
-    n_th = float(fixed.get("n_th", 0.05))
-    t_final = float(fixed.get("t_final", 4000.0))
-
     if cfg.get("trajectory"):
-        p = _params(cfg)
-        run = dynamics.LindbladConfig(
-            params=p, kappa=kappa, n_th=n_th, t_final=t_final,
-            n_samples=int(cfg.get("n_samples", 201)),
-            initial_state=str(cfg.get("initial_state", "right_well")))
-        table = dynamics.evolve(run)._table()
+        table = dynamics.evolve(_lindblad_config(
+            cfg, _params(cfg), {}, n_samples=int(cfg.get("n_samples", 201)),
+            initial_state=str(cfg.get("initial_state", "right_well"))))._table()
         table.meta["subcommand"] = "lindblad-trajectory"
         return table
 
-    names, points = _grid(cfg)
-    table = SweepResult([*names, "t_x", "lower_bound", "rank", "error"])
+    def point(p, over):
+        est = dynamics.tx_lifetime(_lindblad_config(cfg, p, over))
+        return [(*over.values(), est.t_x, est.lower_bound, est.rank, "")]
 
-    def one(point):
-        over = dict(zip(names, point))
-        kw = {k: float(over.pop(k)) for k in ("kappa", "n_th") if k in over}
-        p = _params(cfg, **over)
-        try:
-            est = dynamics.tx_lifetime(dynamics.LindbladConfig(
-                params=p, kappa=kw.get("kappa", kappa),
-                n_th=kw.get("n_th", n_th), t_final=t_final))
-            return (*point, est.t_x, est.lower_bound, est.rank, "")
-        except Exception as exc:   # numeric failure: row carries the code
-            return (*point, float("nan"), False, "", type(exc).__name__)
-
-    for row in _parallel_map(one, points, _n_threads(args)):
-        table.append(*row)
-    table.meta["subcommand"] = "lindblad"
-    return table
+    return _sweep(cfg, args, ("delta", "eps2", "eps4", "kappa", "n_th"),
+                  lambda names: [*names, "t_x", "lower_bound", "rank"], point)
 
 
 def cmd_calibrate(args) -> dict:
@@ -271,6 +273,14 @@ def cmd_calibrate(args) -> dict:
 
 # -- entry point ----------------------------------------------------------------
 
+# config-driven subcommands: each returns the SweepResult or WignerGrid that
+# ``main`` writes
+_COMMANDS = {"spectrum": cmd_spectrum, "splitting": cmd_splitting,
+             "wkb": cmd_splitting, "ebk": cmd_splitting,
+             "geometry": cmd_splitting, "wigner": cmd_wigner,
+             "lindblad": cmd_lindblad}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kerrcat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -284,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--threads", type=int, default=0,
                         help="worker threads (default: all cores)")
 
-    for name in ("spectrum", "splitting", "wkb", "ebk", "geometry",
-                 "wigner", "lindblad"):
+    for name in _COMMANDS:
         common(sub.add_parser(name))
 
     cal = sub.add_parser("calibrate")
@@ -312,21 +321,12 @@ def main(argv=None) -> int:
                     f.write(text + "\n")
             return 0
         cfg = load_config(args.config, args.overrides)
-        if args.command == "wigner":
-            cmd_wigner(cfg, args)
-            return 0
-        if args.command == "spectrum":
-            table = cmd_spectrum(cfg, args)
-        elif args.command == "lindblad":
-            table = cmd_lindblad(cfg, args)
-        else:   # splitting / wkb / ebk / geometry share one combined table
-            table = cmd_splitting(cfg, args)
-        _write(table, args.out, args.format)
-        if "error" in table.columns:
-            bad = [r for r in table.rows if r[table.columns.index("error")]]
-            if bad:
-                return 3
-        return 0
+        table = _COMMANDS[args.command](cfg, args)
+        (table.to_csv if args.format == "csv" else table.to_json)(args.out)
+        # sweep tables end in the error column; a non-empty cell is a failure
+        failed = "error" in getattr(table, "columns", ()) and any(
+            row[-1] for row in table.rows)
+        return 3 if failed else 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

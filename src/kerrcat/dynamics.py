@@ -8,9 +8,9 @@ One propagation core serves every route and one observer samples them all:
   with a time-dependent H, or exact quasi-static steps for a closed pure state;
 * ``expm``    - exact stepping with exp(L tau) of the Liouvillian projected
   onto the top eigenvectors of H, one propagator per parity block.  The rank
-  is raised until the basis holds tr rho(0) to 1e-6; the projected
-  Lindbladian keeps the trace exactly, so this certifies the basis, not the
-  truncation.
+  is raised until the basis holds tr rho(0) to 1e-6 relative (rho(0) need
+  not be normalised); the projected Lindbladian keeps the trace exactly, so
+  this certifies the basis, not the truncation.
 
 Photon parity is a weak symmetry of the Lindbladian: in the eigenbasis of H
 it couples no element rho_ij with equal parities i, j to one with opposite
@@ -377,15 +377,16 @@ def _parity_block(sys: _System, rank: int, odd: bool):
 
 def _certified_rank(sys: _System, run):
     """(rank, trace loss of the projected rho(0), run(rank)) for the first
-    rank, raised by 12 at a time, whose basis keeps tr rho(0) to 1e-6 and
-    whose error (the last item of ``run(rank)``) is below 1e-6.  ``run`` is
-    not called at a rank that already loses the trace; the full basis is
-    taken as it is."""
+    rank, raised by 12 at a time, whose basis keeps tr rho(0) to 1e-6
+    relative and whose error (the last item of ``run(rank)``) is below 1e-6.
+    ``run`` is not called at a rank that already loses the trace; the full
+    basis is taken as it is."""
     rho0 = sys.initial_rho()
+    tr0 = float(np.real(np.trace(rho0)))
     rank = sys.cfg.rank if sys.cfg.rank else min(sys.dim, 32)
     for _ in range(4):
         vr = sys.es.eigenvectors[:, :rank]
-        loss = abs(1.0 - float(np.real(np.trace(vr.conj().T @ rho0 @ vr))))
+        loss = abs(1.0 - float(np.real(np.trace(vr.conj().T @ rho0 @ vr))) / tr0)
         if loss < 1e-6 or rank >= sys.dim:
             out = run(rank)
             if out[-1] < 1e-6 or rank >= sys.dim:
@@ -397,11 +398,13 @@ def _certified_rank(sys: _System, run):
 def _evolve_expm(sys: _System) -> Trajectory:
     times = np.linspace(0.0, sys.cfg.t_final, sys.cfg.n_samples)
     tau = float(times[1] - times[0])
+    rho0 = sys.initial_rho()
+    tr0 = float(np.real(np.trace(rho0)))
 
     def run(rank):
         vr = sys.es.eigenvectors[:, :rank]
         ops = tuple(vr.conj().T @ op @ vr for op in sys.ops)
-        rho = vr.conj().T @ sys.initial_rho() @ vr
+        rho = vr.conj().T @ rho0 @ vr
         props = [(pairs, sla.expm(liou * tau)) for pairs, liou in
                  (_parity_block(sys, rank, odd) for odd in (False, True))]
         rows = [_observe(rho, ops)]
@@ -409,7 +412,8 @@ def _evolve_expm(sys: _System) -> Trajectory:
             for pairs, prop in props:
                 rho[pairs] = prop @ rho[pairs]
             rows.append(_observe(rho, ops))
-        return rows, vr @ rho @ vr.conj().T, max(abs(1.0 - row[3]) for row in rows)
+        return rows, vr @ rho @ vr.conj().T, max(abs(1.0 - row[3] / tr0)
+                                                 for row in rows)
 
     rank, _, (rows, rho_f, tr_err) = _certified_rank(sys, run)
     return _traj_from_samples(times, rows, rho_f,

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerrcat import cli, dynamics
 from kerrcat.fock import HamiltonianParams
@@ -306,3 +308,76 @@ def test_cli_entry_point_subprocess(tmp_path):
         capture_output=True, env=env)
     assert proc.returncode == 0
     assert out.exists()
+
+
+# -- row contract shared by every sweep subcommand -------------------------------
+
+SWEEP_BASES = {
+    "splitting": {"fixed": {"delta": 1.0, "dim": 40}},
+    "spectrum": {"fixed": {"delta": 1.0, "dim": 40}, "n_levels": 3},
+    "lindblad": {"fixed": {"delta": 1.0, "dim": 20, "kappa": 0.05,
+                           "n_th": 0.05, "t_final": 100.0}},
+}
+
+
+def run_sweep(tmp_path, command, axes, *extra, name="t.csv", base=None):
+    cfg = dict(base or SWEEP_BASES[command], axes=axes)
+    out = tmp_path / name
+    rc = cli.main([command, "--config", write_cfg(tmp_path, cfg, name + ".json"),
+                   "--out", str(out), *extra])
+    return rc, out
+
+
+@pytest.mark.parametrize("command", ["splitting", "spectrum", "lindblad"])
+def test_invalid_swept_point_fails_only_its_row(tmp_path, command):
+    eps2_axis = {"name": "eps2", "start": -1.0, "stop": 1.0, "count": 5}
+    rc, out = run_sweep(tmp_path, command, [eps2_axis])
+    assert rc == 3 and out.exists()
+    header, rows = read_csv(out)
+    i_e, i_err = header.index("eps2"), header.index("error")
+    params = [header.index(c) for c in ("delta", "eps2", "eps4")
+              if c in header]
+    bad = [r for r in rows if float(r[i_e]) < 0]
+    assert len(bad) == 2
+    for row in bad:
+        assert row[i_err] == "ValueError"
+        assert all(row[i] for i in params)
+        assert not any(v for i, v in enumerate(row) if i not in params + [i_err])
+        if "delta" in header:
+            assert row[header.index("delta")] == "1"
+    # the valid rows are exactly a run over only the valid points
+    rc_valid, valid = run_sweep(tmp_path, command, [dict(eps2_axis, start=0.0,
+                                                        count=3)], name="v.csv")
+    assert rc_valid in (0, 3)
+    lines = out.read_text().splitlines()
+    kept = [line for line in lines[1:] if not line.endswith(",ValueError")]
+    assert [lines[0], *kept] == valid.read_text().splitlines()
+    # a fixed value outside the model's domain is a config error: no file
+    for bad_fixed in ("fixed.eps2=-1", "fixed.dim=2"):
+        rc, out = run_sweep(tmp_path, command, [eps2_axis], "--set", bad_fixed,
+                            name="x.csv")
+        assert rc == 2 and not out.exists()
+    if command != "lindblad":
+        rc, out = run_sweep(tmp_path, command, [
+            {"name": "kappa", "start": 0.0, "stop": 0.1, "count": 2}], name="k.csv")
+        assert rc == 2 and not out.exists()
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_sweep_bytes_do_not_depend_on_worker_count(tmp_path_factory, data):
+    bounds = {"delta": (-1.0, 5.0), "eps2": (-0.5, 2.5)}
+    names = data.draw(st.sampled_from([("delta",), ("eps2",), ("delta", "eps2"),
+                                       ("eps2", "delta")]))
+    axes = [{"name": n, "count": data.draw(st.integers(2, 3)),
+             "start": data.draw(st.floats(*bounds[n])),
+             "stop": data.draw(st.floats(*bounds[n]))} for n in names]
+    dim = data.draw(st.sampled_from([12, 24]))
+    k = data.draw(st.integers(2, 4))
+    tmp = tmp_path_factory.mktemp("threads")
+    for command, base in SWEEP_BASES.items():
+        base = dict(base, fixed={**base["fixed"], "dim": dim})
+        outs = [run_sweep(tmp, command, axes, "--threads", str(n), base=base,
+                          name=f"{command}-{n}.csv") for n in (1, k)]
+        assert outs[0][0] == outs[1][0]
+        assert outs[0][1].read_bytes() == outs[1][1].read_bytes()

@@ -387,6 +387,19 @@ def test_expm_uncertifiable_rank_fails_before_propagating(monkeypatch):
     assert calls == []
 
 
+def test_expm_certifies_an_unnormalised_state_against_its_own_trace():
+    # 1.1 psi loses nothing a normalised psi does not: same rank, s scaled by
+    # 1.21, and the trace error measured relative to tr rho(0) = 1.21
+    p = HamiltonianParams(delta=1.0, eps2=0.5, dim=40)
+    right, _ = localized_pair(eigensystem(build_hamiltonian(p)), 0)
+    runs = [evolve(cfg_of(p, kappa=0.02, n_th=0.05, t_final=400.0,
+                          method="expm", initial_state=init))
+            for init in ("right_well", 1.1 * right)]
+    assert runs[1].meta["rank"] == runs[0].meta["rank"] == 32
+    assert runs[1].meta["trace_error"] < 1e-6
+    assert np.abs(runs[1].s - 1.21 * runs[0].s).max() < 1e-12
+
+
 # -- ramps -------------------------------------------------------------------------
 
 def test_protocol_validation():
