@@ -9,10 +9,12 @@ paths address nested keys).  A sweep takes a ``fixed`` table and one or two
 ``axes``: delta and eps2 for splitting/wkb/ebk/geometry, also eps4 for
 spectrum, also kappa and n_th for lindblad.  Every sweep table ends in an
 ``error`` column.  Exit codes: 0 success, 2 config error (including a
-``fixed`` value outside the model's domain; no file is written), 3 numeric
-failure (a point that raises becomes one row with its parameter cells, empty
-result cells and the exception class in ``error``; the table is still
-written).  KERRCAT_THREADS overrides the worker count.
+``fixed`` value outside the model's domain and a non-integer ``seed``,
+``n_levels`` or ``n_samples``, all found before any point is computed; no
+file is written), 3 numeric failure (a point that raises becomes one row
+with its parameter cells, empty result cells and the exception class in
+``error``; the table is still written).  KERRCAT_THREADS overrides the
+worker count.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -132,6 +135,21 @@ def _params(cfg: dict, **over) -> HamiltonianParams:
         raise ConfigError(f"bad fixed parameters: {exc}") from exc
 
 
+def _int_setting(cfg: dict, key: str, default=None):
+    """Integer config value ``key`` (``default`` when absent); anything that
+    is not an integer is a config error."""
+    val = cfg.get(key, default)
+    if val is None:
+        return None
+    try:
+        num = int(val)
+    except (TypeError, ValueError, OverflowError):
+        num = None
+    if num is None or (isinstance(val, float) and num != val):
+        raise ConfigError(f"{key} must be an integer, got {val!r}")
+    return num
+
+
 def _n_threads(args) -> int:
     env = os.environ.get("KERRCAT_THREADS")
     if args.threads:
@@ -161,6 +179,7 @@ def _sweep(cfg: dict, args, axes, columns, point) -> SweepResult:
     """
     names, points = _grid(cfg, axes)
     fixed = vars(_params(cfg))
+    seed = _int_setting(cfg, "seed")
     cols = columns(names)
     n_threads = _n_threads(args)
 
@@ -177,8 +196,8 @@ def _sweep(cfg: dict, args, axes, columns, point) -> SweepResult:
         for row in rows:
             table.append(*row)
     table.meta["subcommand"] = args.command
-    if "seed" in cfg:
-        table.meta["seed"] = int(cfg["seed"])
+    if seed is not None:
+        table.meta["seed"] = seed
     return table
 
 
@@ -204,7 +223,7 @@ def cmd_splitting(cfg: dict, args) -> SweepResult:
 
 
 def cmd_spectrum(cfg: dict, args) -> SweepResult:
-    n_levels = int(cfg.get("n_levels", 8))
+    n_levels = _int_setting(cfg, "n_levels", 8)
 
     def point(p, over):
         es = eigensystem(build_hamiltonian(p))
@@ -232,18 +251,27 @@ def cmd_wigner(cfg: dict, args):
                            extent=grid_cfg.get("extent"))
 
 
-def _lindblad_config(cfg: dict, p: HamiltonianParams, over: dict, **kw):
+def _lindblad_config(cfg: dict, p: HamiltonianParams, over: dict):
+    """Evolution settings of the ``fixed`` table updated by ``over``; as in
+    ``_params``, the ``fixed`` rates alone outside their domain are a config
+    error."""
     run = {**cfg.get("fixed", {}), **over}
-    return dynamics.LindbladConfig(
-        params=p, kappa=float(run.get("kappa", 0.02)),
-        n_th=float(run.get("n_th", 0.05)),
-        t_final=float(run.get("t_final", 4000.0)), **kw)
+    try:
+        return dynamics.LindbladConfig(
+            params=p, kappa=float(run.get("kappa", 0.02)),
+            n_th=float(run.get("n_th", 0.05)),
+            t_final=float(run.get("t_final", 4000.0)))
+    except (TypeError, ValueError) as exc:
+        if over:
+            raise
+        raise ConfigError(f"bad fixed Lindblad rates: {exc}") from exc
 
 
 def cmd_lindblad(cfg: dict, args) -> SweepResult:
+    base = _lindblad_config(cfg, _params(cfg), {})
     if cfg.get("trajectory"):
-        table = dynamics.evolve(_lindblad_config(
-            cfg, _params(cfg), {}, n_samples=int(cfg.get("n_samples", 201)),
+        table = dynamics.evolve(replace(
+            base, n_samples=_int_setting(cfg, "n_samples", 201),
             initial_state=str(cfg.get("initial_state", "right_well"))))._table()
         table.meta["subcommand"] = "lindblad-trajectory"
         return table

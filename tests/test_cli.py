@@ -363,6 +363,40 @@ def test_invalid_swept_point_fails_only_its_row(tmp_path, command):
         assert rc == 2 and not out.exists()
 
 
+@pytest.mark.parametrize("bad_fixed", ["fixed.kappa=-0.1", "fixed.n_th=-1",
+                                       "fixed.t_final=0", "fixed.t_final=-1"])
+def test_invalid_fixed_lindblad_rate_is_a_config_error(tmp_path, bad_fixed):
+    eps2_axis = {"name": "eps2", "start": 0.5, "stop": 1.0, "count": 2}
+    rc, out = run_sweep(tmp_path, "lindblad", [eps2_axis], "--set", bad_fixed)
+    assert rc == 2 and not out.exists()
+    cfg = dict(SWEEP_BASES["lindblad"], trajectory=True, n_samples=5)
+    rc = cli.main(["lindblad", "--config", write_cfg(tmp_path, cfg), "--set",
+                   bad_fixed, "--out", str(out)])
+    assert rc == 2 and not out.exists()
+
+
+def test_invalid_swept_lindblad_rate_fails_only_its_row(tmp_path):
+    kappa_axis = {"name": "kappa", "start": -0.05, "stop": 0.05, "count": 3}
+    rc, out = run_sweep(tmp_path, "lindblad", [kappa_axis])
+    assert rc == 3
+    header, rows = read_csv(out)
+    assert [r[header.index("error")] for r in rows] == ["ValueError", "ValueError", ""]
+
+
+@pytest.mark.parametrize("key, value", [("seed", "abc"), ("seed", "1.5"),
+                                        ("n_levels", "abc"), ("n_levels", "2.5")])
+def test_non_integer_setting_is_a_config_error(tmp_path, monkeypatch, key, value):
+    # rejected before the first eigensolve of the grid, with no file written
+    calls = []
+    monkeypatch.setattr(cli, "eigensystem", lambda h: calls.append(h))
+    monkeypatch.setattr(cli.spectra, "tunnel_splitting", lambda p: calls.append(p))
+    command = "spectrum" if key == "n_levels" else "splitting"
+    rc, out = run_sweep(tmp_path, command, [
+        {"name": "delta", "start": 0.5, "stop": 1.5, "count": 3}],
+        "--set", f"{key}={value}")
+    assert rc == 2 and not out.exists() and calls == []
+
+
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_sweep_bytes_do_not_depend_on_worker_count(tmp_path_factory, data):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import kerrcat.dynamics
@@ -422,6 +423,30 @@ def test_round_trip_ramp_is_adiabatic_at_cancellation():
     cfg = cfg_of(p, t_final=1.0, n_samples=41, n_pairs=1)
     traj = run_protocol(RampProtocol(segs), cfg)
     assert abs(traj.s[-1] - traj.s[0]) < 1e-3
+    assert traj.meta["halvings"] <= 2
+
+
+def test_magnus_step_is_fourth_order():
+    # linear ramp delta 1 -> 3, eps2 1 -> 0.3 over T = 2; H(t) is built here
+    # from the parameters, independently of run_protocol's own assembly
+    p = HamiltonianParams(delta=1.0, eps2=1.0, dim=16)
+    t_final = 2.0
+
+    def h_at(t):
+        f = t / t_final
+        return build_hamiltonian(p.with_(delta=1.0 + 2.0 * f, eps2=1.0 - 0.7 * f))
+
+    sys = kerrcat.dynamics._System(cfg_of(p, t_final=t_final, n_samples=2, n_pairs=1))
+    psi0 = sys.initial_vector()
+    ref = solve_ivp(lambda t, y: -1j * (h_at(t) @ y), (0.0, t_final),
+                    psi0.astype(complex), method="DOP853", rtol=1e-13,
+                    atol=1e-13).y[:, -1]
+    errs = [np.linalg.norm(kerrcat.dynamics._magnus_run(sys, h_at, psi0, dt)[1]
+                           - np.outer(ref, ref.conj()))
+            for dt in (0.2, 0.1, 0.05)]
+    # fourth order: 16x per halving asymptotically; a second-order step
+    # (midpoint, or CF4 with its weights swapped) gives about 4x
+    assert errs[0] / errs[1] > 10 and errs[1] / errs[2] > 10, errs
 
 
 def test_hold_half_rabi_flips_sign():
@@ -463,6 +488,33 @@ def test_closed_protocol_with_mixed_initial_state():
     assert traj.s[0] == pytest.approx(0.4, abs=1e-3)
     assert np.abs(traj.s - ref.s).max() < 1e-8
     assert np.abs(traj.nbar - ref.nbar).max() < 1e-8
+
+
+def test_closed_protocol_at_constant_h_is_exact():
+    p = HamiltonianParams(delta=1.0, eps2=0.5, dim=20)
+    common = dict(t_final=3.0, n_samples=7, n_pairs=1)
+    prot = RampProtocol((RampSegment(3.0, 1.0, 1.0, 0.5, 0.5),))
+    traj = run_protocol(prot, cfg_of(p, **common))
+    ref = evolve(cfg_of(p, **common, method="unitary"))
+    assert traj.meta["method"] == "cf4-protocol"
+    for name in ("s", "x_expect", "nbar", "trace", "purity"):
+        assert np.abs(getattr(traj, name) - getattr(ref, name)).max() < 1e-12, name
+    assert np.abs(traj.rho_final - ref.rho_final).max() < 1e-12
+
+
+def test_closed_ramp_from_density_matrix_matches_its_vector():
+    p = HamiltonianParams(delta=2.0, eps2=1.0, dim=20)
+    right, left = localized_pair(eigensystem(build_hamiltonian(p)), 0)
+    psi = 0.8 * right + 0.6j * left
+    prot = RampProtocol((RampSegment(3.0, 2.0, 1.0, 1.0, 0.3),))
+    common = dict(t_final=1.0, n_samples=7, n_pairs=1)
+    pure = run_protocol(prot, cfg_of(p, **common, initial_state=psi))
+    mixed = run_protocol(prot, cfg_of(p, **common,
+                                      initial_state=np.outer(psi, psi.conj())))
+    assert pure.meta == mixed.meta
+    for name in ("s", "x_expect", "nbar", "trace", "purity"):
+        assert np.abs(getattr(pure, name) - getattr(mixed, name)).max() < 1e-12, name
+    assert np.abs(pure.rho_final - mixed.rho_final).max() < 1e-12
 
 
 def test_unitary_from_vector_matches_its_density_matrix():
