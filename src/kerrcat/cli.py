@@ -9,11 +9,12 @@ paths address nested keys).  A sweep takes a ``fixed`` table and one or two
 ``axes``: delta and eps2 for splitting/wkb/ebk/geometry, also eps4 for
 spectrum, also kappa and n_th for lindblad.  Every sweep table ends in an
 ``error`` column.  Exit codes: 0 success, 2 config error (including a
-``fixed`` value outside the model's domain and a non-integer ``seed``,
-``n_levels`` or ``n_samples``, all found before any point is computed; no
-file is written), 3 numeric failure (a point that raises becomes one row
-with its parameter cells, empty result cells and the exception class in
-``error``; the table is still written).  KERRCAT_THREADS overrides the
+``fixed`` value outside the model's domain, a non-integer ``seed``,
+``n_levels``, ``n_samples``, ``state.eigen``, ``state.pair`` or
+``grid.points``, and ``n_levels`` < 1, all found before any point is
+computed; no file is written), 3 numeric failure (a point that raises
+becomes one row with its parameter cells, empty result cells and the
+exception class in ``error``; the table is still written).  KERRCAT_THREADS overrides the
 worker count.
 """
 
@@ -224,6 +225,8 @@ def cmd_splitting(cfg: dict, args) -> SweepResult:
 
 def cmd_spectrum(cfg: dict, args) -> SweepResult:
     n_levels = _int_setting(cfg, "n_levels", 8)
+    if n_levels < 1:
+        raise ConfigError(f"n_levels must be >= 1, got {n_levels}")
 
     def point(p, over):
         es = eigensystem(build_hamiltonian(p))
@@ -236,19 +239,19 @@ def cmd_spectrum(cfg: dict, args) -> SweepResult:
 
 
 def cmd_wigner(cfg: dict, args):
-    p = _params(cfg)
-    es = eigensystem(build_hamiltonian(p))
     sel = cfg.get("state", {"eigen": 0})
-    if "eigen" in sel:
-        state = es.eigenvectors[:, int(sel["eigen"])]
-    elif "localized" in sel:
-        right, left = localized_pair(es, int(sel.get("pair", 0)))
-        state = right if sel["localized"] == "right" else left
-    else:
+    if "eigen" not in sel and "localized" not in sel:
         raise ConfigError("state must specify 'eigen' or 'localized'")
+    index = _int_setting(sel, "eigen" if "eigen" in sel else "pair", 0)
     grid_cfg = cfg.get("grid", {})
-    return wigner_function(state, points=int(grid_cfg.get("points", 201)),
-                           extent=grid_cfg.get("extent"))
+    points = _int_setting(grid_cfg, "points", 201)
+    es = eigensystem(build_hamiltonian(_params(cfg)))
+    if "eigen" in sel:
+        state = es.eigenvectors[:, index]
+    else:
+        right, left = localized_pair(es, index)
+        state = right if sel["localized"] == "right" else left
+    return wigner_function(state, points=points, extent=grid_cfg.get("extent"))
 
 
 def _lindblad_config(cfg: dict, p: HamiltonianParams, over: dict):

@@ -1,8 +1,10 @@
 """Closed- and open-system time evolution of the squeeze-driven Kerr oscillator.
 
-One propagation core serves every route and one observer samples them all:
+One sampling loop (``_run``) serves every route, with one step kernel per
+route, and one observer samples them all:
 
-* ``unitary`` - closed system (kappa = 0), exact eigenbasis phases;
+* ``unitary`` - closed system (kappa = 0), exact eigenbasis phases
+  exp(-i w dt) per sample interval;
 * ``rk4``     - fixed-step RK4 of the Lindblad equation with the effective
   drift -iH(t) + damping under step-halving control; an open ramp protocol
   uses it with a time-dependent H;
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -59,7 +61,6 @@ class LindbladConfig:
     kappa: float = 0.0
     n_th: float = 0.0
     t_final: float = 10.0
-    dt: float | None = None
     initial_state: object = "right_well"
     n_samples: int = 201
     n_pairs: int | None = None
@@ -162,34 +163,30 @@ class _System:
         p_r, p_l = well_projectors(self.es, min(n, len(_pair_up(self.es, n))))
         return p_r - p_l, quadrature_x(self.dim), self.a.T @ self.a
 
-    def initial_vector(self) -> np.ndarray | None:
+    def initial_state(self) -> np.ndarray:
+        """The initial state as given: a complex vector psi or density matrix."""
         init = self.cfg.initial_state
         if isinstance(init, str):
             if init in ("right_well", "left_well"):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     right, left = localized_pair(self.es, 0)
-                return right if init == "right_well" else left
-            if init != "vacuum":
+                init = right if init == "right_well" else left
+            elif init == "vacuum":
+                init = 0
+            else:
                 raise ValueError(f"unknown initial state tag {init!r}")
-            init = 0
         if isinstance(init, (int, np.integer)):
             v = np.zeros(self.dim)
             v[int(init)] = 1.0
-            return v
-        arr = np.asarray(init)
-        if arr.ndim == 1:
-            return arr.astype(complex)
-        return None
-
-    def initial_rho(self) -> np.ndarray:
-        v = self.initial_vector()
-        if v is not None:
-            return np.outer(v, v.conj()).astype(complex)
-        arr = np.asarray(self.cfg.initial_state, dtype=complex)
-        if arr.shape != (self.dim, self.dim):
+            init = v
+        arr = np.asarray(init).astype(complex)
+        if arr.ndim != 1 and arr.shape != (self.dim, self.dim):
             raise ValueError("custom density matrix has the wrong shape")
         return arr
+
+    def initial_rho(self) -> np.ndarray:
+        return _density(self.initial_state())
 
 
 def lindblad_rhs(rho: np.ndarray, cfg: LindbladConfig) -> np.ndarray:
@@ -211,6 +208,11 @@ def _rhs(rho: np.ndarray, sys: _System, drift: np.ndarray) -> np.ndarray:
     for op in sys.jump_scaled:
         out += (op @ rho) @ op.conj().T
     return out
+
+
+def _density(state: np.ndarray) -> np.ndarray:
+    """rho of a density matrix (itself) or of a pure state psi."""
+    return np.outer(state, state.conj()) if state.ndim == 1 else state
 
 
 def _observe(state, ops):
@@ -241,41 +243,52 @@ def evolve(cfg: LindbladConfig) -> Trajectory:
     if method == "unitary":
         if cfg.kappa != 0:
             raise ValueError("unitary method requires kappa = 0")
-        return _evolve_unitary(sys)
+        w, v = sys.es.eigenvalues, sys.es.eigenvectors
+        rows, rho = _run(sys, sys.initial_state(),
+                         lambda state, t, dt: _unitary(state, v, np.exp(-1j * dt * w)))
+        return _traj_from_samples(sys, rows, rho, {"method": "unitary"})
     if method == "rk4":
-        return _step_controlled(sys, partial(_rk4_run, sys, lambda t: sys.h_eff),
-                                cfg.dt if cfg.dt else _stable_dt(sys), "rk4")
+        return _step_controlled(sys, sys.initial_rho(),
+                                _rk4_step(sys, lambda t: sys.h_eff),
+                                _stable_dt(sys), "rk4")
     if method == "expm":
         return _evolve_expm(sys)
     raise ValueError(f"unknown method {cfg.method!r}")
 
 
-def _traj_from_samples(times, rows, rho_final, meta) -> Trajectory:
+def _traj_from_samples(sys: _System, rows, rho_final, meta) -> Trajectory:
+    times = np.linspace(0.0, sys.cfg.t_final, sys.cfg.n_samples)
     arr = np.array(rows)
-    return Trajectory(np.asarray(times), arr[:, 0], arr[:, 1], arr[:, 2],
+    return Trajectory(times, arr[:, 0], arr[:, 1], arr[:, 2],
                       arr[:, 3], arr[:, 4], arr[:, 5], rho_final, meta)
 
 
-def _evolve_unitary(sys: _System) -> Trajectory:
-    times = np.linspace(0.0, sys.cfg.t_final, sys.cfg.n_samples)
-    w = sys.es.eigenvalues
-    v = sys.es.eigenvectors
-    psi0 = sys.initial_vector()
-    pure = psi0 is not None
-    if pure:
-        c0 = v.conj().T @ psi0
-    else:
-        rt = v.conj().T @ sys.initial_rho() @ v
-    rows = []
-    for t in times:
-        ph = np.exp(-1j * w * t)
-        if pure:
-            state = v @ (ph * c0)
-        else:
-            state = v @ (np.outer(ph, ph.conj()) * rt) @ v.conj().T
-        rows.append(_observe(state, sys.ops))
-    rho = np.outer(state, state.conj()) if pure else state
-    return _traj_from_samples(times, rows, rho, {"method": "unitary"})
+def _run(sys: _System, state, step, per: int = 1, ops=None):
+    """The one sampling loop of every route: (observable rows at the
+    ``cfg.n_samples`` sample times, final rho).
+
+    Between samples it takes ``per`` equal steps ``state = step(state, t,
+    dt)`` with dt = t_final / (per (n_samples - 1)), so samples land on exact
+    steps.  ``state`` is a vector psi or a density matrix; it is observed
+    with ``sys.ops``, or with ``ops`` when given.
+    """
+    ops = sys.ops if ops is None else ops
+    n = sys.cfg.n_samples
+    dt = sys.cfg.t_final / (per * max(n - 1, 1))
+    rows = [_observe(state, ops)]
+    for i in range(n - 1):
+        for j in range(per):
+            state = step(state, (i * per + j) * dt, dt)
+        rows.append(_observe(state, ops))
+    return rows, _density(state)
+
+
+def _unitary(state, v, ph):
+    """U = v diag(ph) v^dag applied to psi (U psi) or to rho (U rho U^dag)."""
+    vh = v.conj().T
+    if state.ndim == 1:
+        return v @ (ph * (vh @ state))
+    return v @ (np.outer(ph, ph.conj()) * (vh @ state @ v)) @ vh
 
 
 def _stable_dt(sys: _System) -> float:
@@ -284,20 +297,15 @@ def _stable_dt(sys: _System) -> float:
     return 2.0 / max(span + rate, 1e-12)
 
 
-def _step_layout(t_final: float, dt: float, n_samples: int):
-    """Substep count per sample interval so samples land on exact steps."""
-    m = max(n_samples - 1, 1)
-    per = max(int(np.ceil(t_final / (dt * m))), 1)
-    return per, t_final / (per * m)
-
-
-def _step_controlled(sys: _System, run, dt, method) -> Trajectory:
-    """Halve dt until the trace drift stays below 1e-7 and two successive
-    runs agree to 1e-6; ``run(dt)`` returns (sample rows, final rho)."""
-    times = np.linspace(0.0, sys.cfg.t_final, sys.cfg.n_samples)
+def _step_controlled(sys: _System, state0, step, dt, method) -> Trajectory:
+    """Run ``step`` from ``state0`` through ``_run`` with the fewest equal
+    substeps per sample interval no longer than dt, halving dt until the
+    trace drift stays below 1e-7 and two successive runs agree to 1e-6."""
+    m = max(sys.cfg.n_samples - 1, 1)
     prev = None
     for halving in range(13):
-        rows, rho = run(dt)
+        per = max(int(np.ceil(sys.cfg.t_final / (dt * m))), 1)
+        rows, rho = _run(sys, state0, step, per)
         arr = np.array(rows)
         if np.all(np.isfinite(arr)):
             drift = np.max(np.abs(arr[:, 3] - arr[0, 3]))
@@ -306,7 +314,7 @@ def _step_controlled(sys: _System, run, dt, method) -> Trajectory:
                              / np.maximum(1.0, np.abs(arr[:, :5])))
                 if rel < 1e-6:
                     return _traj_from_samples(
-                        times, rows, rho,
+                        sys, rows, rho,
                         {"method": method, "dt": dt, "halvings": halving})
             prev = arr
         else:
@@ -315,25 +323,18 @@ def _step_controlled(sys: _System, run, dt, method) -> Trajectory:
     raise IntegrationError(f"{method} step control did not converge in 12 halvings")
 
 
-def _rk4_run(sys: _System, drift, dt: float):
-    """Fixed-step RK4 of the Lindblad equation with effective drift
-    ``drift(t)`` = -iH(t) + damping, sampled at ``cfg.n_samples`` points."""
-    n_samples = sys.cfg.n_samples
-    per, dt = _step_layout(sys.cfg.t_final, dt, n_samples)
-    rho = sys.initial_rho()
-    rows = [_observe(rho, sys.ops)]
-    for i in range(n_samples - 1):
-        for j in range(per):
-            t = (i * per + j) * dt
-            d_mid = drift(t + dt / 2)
-            k1 = _rhs(rho, sys, drift(t))
-            k2 = _rhs(rho + 0.5 * dt * k1, sys, d_mid)
-            k3 = _rhs(rho + 0.5 * dt * k2, sys, d_mid)
-            k4 = _rhs(rho + dt * k3, sys, drift(t + dt))
-            rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            rho = 0.5 * (rho + rho.conj().T)
-        rows.append(_observe(rho, sys.ops))
-    return rows, rho
+def _rk4_step(sys: _System, drift):
+    """RK4 step of the Lindblad equation with effective drift ``drift(t)``
+    = -iH(t) + damping."""
+    def step(rho, t, dt):
+        d_mid = drift(t + dt / 2)
+        k1 = _rhs(rho, sys, drift(t))
+        k2 = _rhs(rho + 0.5 * dt * k1, sys, d_mid)
+        k3 = _rhs(rho + 0.5 * dt * k2, sys, d_mid)
+        k4 = _rhs(rho + dt * k3, sys, drift(t + dt))
+        rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        return 0.5 * (rho + rho.conj().T)
+    return step
 
 
 def _liouvillian_entries(sys: _System, rank: int, rows, cols) -> np.ndarray:
@@ -399,27 +400,27 @@ def _certified_rank(sys: _System, run):
 
 
 def _evolve_expm(sys: _System) -> Trajectory:
-    times = np.linspace(0.0, sys.cfg.t_final, sys.cfg.n_samples)
-    tau = float(times[1] - times[0])
+    tau = sys.cfg.t_final / (sys.cfg.n_samples - 1)
     rho0 = sys.initial_rho()
     tr0 = float(np.real(np.trace(rho0)))
 
     def run(rank):
         vr = sys.es.eigenvectors[:, :rank]
-        ops = tuple(vr.conj().T @ op @ vr for op in sys.ops)
-        rho = vr.conj().T @ rho0 @ vr
         props = [(pairs, sla.expm(liou * tau)) for pairs, liou in
                  (_parity_block(sys, rank, odd) for odd in (False, True))]
-        rows = [_observe(rho, ops)]
-        for _ in times[1:]:
+
+        def step(rho, t, dt):
             for pairs, prop in props:
                 rho[pairs] = prop @ rho[pairs]
-            rows.append(_observe(rho, ops))
+            return rho
+
+        rows, rho = _run(sys, vr.conj().T @ rho0 @ vr, step,
+                         ops=tuple(vr.conj().T @ op @ vr for op in sys.ops))
         return rows, vr @ rho @ vr.conj().T, max(abs(1.0 - row[3] / tr0)
                                                  for row in rows)
 
     rank, _, (rows, rho_f, tr_err) = _certified_rank(sys, run)
-    return _traj_from_samples(times, rows, rho_f,
+    return _traj_from_samples(sys, rows, rho_f,
                               {"method": "expm", "rank": rank,
                                "trace_error": tr_err})
 
@@ -494,7 +495,7 @@ def tx_lifetime(cfg: LindbladConfig) -> TxEstimate:
     to 1e-6 and T_X at rank + 12 agrees to 1e-6 relative; otherwise it is
     raised by 12, at most 4 tries.  ``rank`` is the rank used.  When
     ``t_final`` < T_X ln(1/0.95) no decay is resolved by ``t_final``, and
-    the estimate is the lower bound t_x = t_final.  ``cfg.dt`` is not used.
+    the estimate is the lower bound t_x = t_final.
     """
     if cfg.kappa <= 0:
         raise ValueError("tx_lifetime requires kappa > 0")
@@ -581,7 +582,7 @@ def run_protocol(protocol: RampProtocol, cfg: LindbladConfig) -> Trajectory:
 
     The initial state tags refer to the protocol's starting parameters.  A
     closed system (kappa = 0), pure or mixed, takes fourth-order
-    commutator-free Magnus steps (``_magnus_run``); an open one takes RK4.
+    commutator-free Magnus steps (``_cf4_step``); an open one takes RK4.
     Both run under the same step-halving control.
     """
     d0, e0 = protocol.values_at(0.0)
@@ -597,14 +598,12 @@ def run_protocol(protocol: RampProtocol, cfg: LindbladConfig) -> Trajectory:
 
     if cfg.kappa == 0:
         # the step is exact at constant H; dt only resolves the ramps
-        dt, method = min(0.1, protocol.total_duration / 50.0), "cf4-protocol"
-        psi0 = sys.initial_vector()
-        run = partial(_magnus_run, sys, h_at,
-                      sys.initial_rho() if psi0 is None else psi0)
-    else:
-        dt, method = _stable_dt(sys), "rk4-protocol"
-        run = partial(_rk4_run, sys, lambda t: -1j * h_at(t) + sys.damping)
-    return _step_controlled(sys, run, cfg.dt if cfg.dt else dt, method)
+        return _step_controlled(sys, sys.initial_state(), _cf4_step(h_at),
+                                min(0.1, protocol.total_duration / 50.0),
+                                "cf4-protocol")
+    return _step_controlled(sys, sys.initial_rho(),
+                            _rk4_step(sys, lambda t: -1j * h_at(t) + sys.damping),
+                            _stable_dt(sys), "rk4-protocol")
 
 
 # Gauss-Legendre nodes and weights of the two-exponential commutator-free
@@ -614,31 +613,20 @@ _CF4_NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
 _CF4_A, _CF4_B = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0, (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
 
 
-def _magnus_run(sys: _System, h_at, state0, dt):
-    """Closed stepping of a vector psi or a density matrix rho under the
+def _cf4_step(h_at):
+    """Closed step of a vector psi or a density matrix rho under the
     real-symmetric H(t) = ``h_at(t)``, fourth order in dt.
 
     With H1, H2 = H at the Gauss nodes t + (1/2 -+ sqrt(3)/6) dt, one step
     applies exp(-i dt (b H1 + a H2)) and then exp(-i dt (a H1 + b H2)),
-    a, b = (3 -+ 2 sqrt(3)) / 12, each from one ``eigh``: psi <- U psi,
-    rho <- U rho U^dag.  The weights of each exponential sum to 1/2, so the
-    step is exact when H is constant.
+    a, b = (3 -+ 2 sqrt(3)) / 12, each from one ``eigh`` (``_unitary``).
+    The weights of each exponential sum to 1/2, so the step is exact when H
+    is constant.
     """
-    n_samples = sys.cfg.n_samples
-    per, dt = _step_layout(sys.cfg.t_final, dt, n_samples)
-    state = state0.astype(complex)
-    rows = [_observe(state, sys.ops)]
-    for i in range(n_samples - 1):
-        for j in range(per):
-            t = (i * per + j) * dt
-            h1, h2 = (h_at(t + c * dt) for c in _CF4_NODES)
-            for h in (_CF4_B * h1 + _CF4_A * h2, _CF4_A * h1 + _CF4_B * h2):
-                w, v = np.linalg.eigh(h)
-                ph = np.exp(-1j * dt * w)
-                if state.ndim == 1:
-                    state = v @ (ph * (v.T @ state))
-                else:
-                    state = v @ (np.outer(ph, ph.conj()) * (v.T @ state @ v)) @ v.T
-        rows.append(_observe(state, sys.ops))
-    rho = np.outer(state, state.conj()) if state.ndim == 1 else state
-    return rows, rho
+    def step(state, t, dt):
+        h1, h2 = (h_at(t + c * dt) for c in _CF4_NODES)
+        for h in (_CF4_B * h1 + _CF4_A * h2, _CF4_A * h1 + _CF4_B * h2):
+            w, v = np.linalg.eigh(h)
+            state = _unitary(state, v, np.exp(-1j * dt * w))
+        return state
+    return step

@@ -122,10 +122,6 @@ class PhaseSpacePolynomial:
     def degree(self) -> int:
         return max((j + k for (j, k) in self.terms), default=-1)
 
-    def without_constant(self):
-        terms = {k: c for k, c in self.terms.items() if k != (0, 0)}
-        return PhaseSpacePolynomial(self.basis, terms, self.lam)
-
     def coefficient(self, j: int, k: int) -> Coeff:
         return self.terms.get((j, k), Coeff())
 
@@ -137,11 +133,6 @@ class PhaseSpacePolynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def evaluate(self, u: complex, v: complex) -> complex:
-        """Numerical value at (a, a*) = (u, v) or (x, p) = (u, v)."""
-        lamf = float(self.lam)
-        return sum(c.to_complex(lamf) * u**j * v**k for (j, k), c in self.terms.items())
 
     def __repr__(self):
         names = ("a", "a*") if self.basis == "a" else ("x", "p")

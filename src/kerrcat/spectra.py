@@ -176,23 +176,12 @@ class DegeneracyReport:
 
 
 def _pair_up(es: EigenSystem, n_pairs: int) -> list:
-    """Greedy descending pairing of opposite-parity states: (i_idx, j_idx)."""
-    used = set()
-    pairs = []
-    i = 0
-    while len(pairs) < n_pairs and i < es.dim - 1:
-        if i in used:
-            i += 1
-            continue
-        j = i + 1
-        while j in used or (j < es.dim and es.parities[j] == es.parities[i]):
-            j += 1
-            if j >= es.dim:
-                return pairs
-        pairs.append((i, j))
-        used.update((i, j))
-        i += 1
-    return pairs
+    """The k-th even state paired with the k-th odd state in descending
+    order, as (smaller, larger) index tuples, for k < ``n_pairs``."""
+    n = max(n_pairs, 0)
+    even = np.flatnonzero(es.parities == 1)[:n]
+    odd = np.flatnonzero(es.parities == -1)[:n]
+    return [(int(min(i, j)), int(max(i, j))) for i, j in zip(even, odd)]
 
 
 def degeneracy_check(m: int, eps2: float, kerr: float = 1.0,

@@ -9,6 +9,8 @@ bidifferential series built from polynomial derivatives and pointwise
 products instead of the per-monomial-pair kernel.  The reduced Liouvillian
 is written with ``np.kron`` instead of the entry-wise builder over index
 pairs, in the same order of operations, so the two agree bit for bit.
+Opposite-parity pairs come from a greedy search over the parity sequence
+instead of indexing the even and odd states.
 """
 
 import math
@@ -167,3 +169,25 @@ def kron_liouvillian(e_r, a_r, kappa, n_th):
                             - 0.5 * np.kron(od_o, eye)
                             - 0.5 * np.kron(eye, od_o.T))
     return liou
+
+
+def greedy_pairing(parities, n_pairs):
+    """Descending greedy pairing of opposite-parity states: each unused index
+    i is paired with the next unused index j > i of the other parity."""
+    dim = len(parities)
+    used = set()
+    pairs = []
+    i = 0
+    while len(pairs) < n_pairs and i < dim - 1:
+        if i in used:
+            i += 1
+            continue
+        j = i + 1
+        while j in used or (j < dim and parities[j] == parities[i]):
+            j += 1
+            if j >= dim:
+                return pairs
+        pairs.append((i, j))
+        used.update((i, j))
+        i += 1
+    return pairs

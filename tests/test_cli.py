@@ -238,6 +238,22 @@ def test_wigner_json_format(tmp_path):
     assert np.array(data["values"]).shape == (41, 41)
 
 
+@pytest.mark.parametrize("side, sign", [("right", 1), ("left", -1)])
+def test_wigner_localized_state(tmp_path, side, sign):
+    cfg = {
+        "fixed": {"delta": 1.0, "eps2": 2.0, "dim": 40},
+        "state": {"localized": side, "pair": 0},
+        "grid": {"points": 41, "extent": 6.0},
+    }
+    out = tmp_path / "w.csv"
+    assert cli.main(["wigner", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    x, w = (np.array([float(r[i]) for r in rows]) for i in (0, 2))
+    cell = (6.0 * 2 / 40) ** 2
+    assert sign * np.sum(x * w) * cell > 1.0
+
+
 def test_lindblad_trajectory_dump(tmp_path):
     cfg = {
         "fixed": {"delta": 1.0, "eps2": 0.5, "dim": 20,
@@ -394,6 +410,34 @@ def test_non_integer_setting_is_a_config_error(tmp_path, monkeypatch, key, value
     rc, out = run_sweep(tmp_path, command, [
         {"name": "delta", "start": 0.5, "stop": 1.5, "count": 3}],
         "--set", f"{key}={value}")
+    assert rc == 2 and not out.exists() and calls == []
+
+
+@pytest.mark.parametrize("override", ["state.eigen=abc", "state.eigen=2.5",
+                                      "state.pair=abc", "state.pair=1.5",
+                                      "grid.points=abc", "grid.points=2.5"])
+def test_non_integer_wigner_setting_is_a_config_error(tmp_path, monkeypatch,
+                                                      override):
+    calls = []
+    monkeypatch.setattr(cli, "eigensystem", lambda h: calls.append(h))
+    cfg = {"fixed": {"delta": 1.0, "eps2": 1.0, "dim": 20},
+           "state": ({"localized": "right", "pair": 0}
+                     if override.startswith("state.pair") else {"eigen": 0}),
+           "grid": {"points": 11}}
+    out = tmp_path / "w.csv"
+    rc = cli.main(["wigner", "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(out), "--set", override])
+    assert rc == 2 and not out.exists() and calls == []
+
+
+@pytest.mark.parametrize("n_levels", [0, -1])
+def test_spectrum_without_levels_is_a_config_error(tmp_path, monkeypatch,
+                                                   n_levels):
+    calls = []
+    monkeypatch.setattr(cli, "eigensystem", lambda h: calls.append(h))
+    rc, out = run_sweep(tmp_path, "spectrum", [
+        {"name": "eps2", "start": 0.5, "stop": 1.5, "count": 2}],
+        "--set", f"n_levels={n_levels}")
     assert rc == 2 and not out.exists() and calls == []
 
 

@@ -265,7 +265,7 @@ def test_tx_requires_dissipation():
 def test_tx_uncertified_rank_raises():
     # a high Fock state lies outside every basis the rank loop tries
     p = HamiltonianParams(delta=2.0, eps2=2.17, dim=40)
-    cfg = cfg_of(p, kappa=1 / 50, n_th=0.05, t_final=10.0, dt=1.0, rank=1,
+    cfg = cfg_of(p, kappa=1 / 50, n_th=0.05, t_final=10.0, rank=1,
                  initial_state=39)
     with pytest.raises(IntegrationError):
         tx_lifetime(cfg)
@@ -277,7 +277,7 @@ def test_tx_uncertified_rank_raises():
 def test_tx_lower_bound_flag():
     # delta = 2 cancellation point with a horizon far too short to see decay
     p = HamiltonianParams(delta=2.0, eps2=2.17, dim=40)
-    cfg = cfg_of(p, kappa=1 / 50, n_th=0.05, t_final=40.0, dt=1.0)
+    cfg = cfg_of(p, kappa=1 / 50, n_th=0.05, t_final=40.0)
     est = tx_lifetime(cfg)
     assert est.lower_bound
     assert est.t_x == pytest.approx(40.0, rel=0.1)
@@ -437,11 +437,13 @@ def test_magnus_step_is_fourth_order():
         return build_hamiltonian(p.with_(delta=1.0 + 2.0 * f, eps2=1.0 - 0.7 * f))
 
     sys = kerrcat.dynamics._System(cfg_of(p, t_final=t_final, n_samples=2, n_pairs=1))
-    psi0 = sys.initial_vector()
+    psi0 = sys.initial_state()
     ref = solve_ivp(lambda t, y: -1j * (h_at(t) @ y), (0.0, t_final),
-                    psi0.astype(complex), method="DOP853", rtol=1e-13,
+                    psi0, method="DOP853", rtol=1e-13,
                     atol=1e-13).y[:, -1]
-    errs = [np.linalg.norm(kerrcat.dynamics._magnus_run(sys, h_at, psi0, dt)[1]
+    step = kerrcat.dynamics._cf4_step(h_at)
+    errs = [np.linalg.norm(kerrcat.dynamics._run(sys, psi0, step,
+                                                 round(t_final / dt))[1]
                            - np.outer(ref, ref.conj()))
             for dt in (0.2, 0.1, 0.05)]
     # fourth order: 16x per halving asymptotically; a second-order step
@@ -527,3 +529,33 @@ def test_unitary_from_vector_matches_its_density_matrix():
     for name in ("s", "x_expect", "nbar", "trace", "purity"):
         assert np.abs(getattr(pure, name) - getattr(mixed, name)).max() < 1e-12, name
     assert np.abs(pure.rho_final - mixed.rho_final).max() < 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(delta=st.floats(0.0, 3.0), eps2=st.floats(0.2, 1.5),
+       dim=st.integers(6, 10), seed=st.integers(0, 2**16))
+def test_every_route_keeps_signal_and_trace(delta, eps2, dim, seed):
+    p = HamiltonianParams(delta=delta, eps2=eps2, dim=dim)
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi /= np.linalg.norm(psi)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = m @ m.conj().T / np.trace(m @ m.conj().T).real
+    common = dict(t_final=1.0, n_samples=5, n_pairs=1)
+    lossy = dict(common, kappa=0.05, n_th=0.1)
+    prot = RampProtocol((RampSegment(1.0, delta, delta + 0.5, eps2, 0.5 * eps2),))
+    runs = [  # (route, trajectory, trace bound of the route)
+        ("unitary-psi", evolve(cfg_of(p, **common, method="unitary",
+                                      initial_state=psi)), 1e-12),
+        ("unitary-rho", evolve(cfg_of(p, **common, method="unitary",
+                                      initial_state=rho)), 1e-12),
+        ("rk4", evolve(cfg_of(p, **lossy, method="rk4", initial_state=rho)), 1e-7),
+        ("expm", evolve(cfg_of(p, **lossy, method="expm", initial_state=psi)), 1e-6),
+        ("closed ramp", run_protocol(prot, cfg_of(p, **common, initial_state=psi)),
+         1e-7),
+        ("open ramp", run_protocol(prot, cfg_of(p, **lossy, initial_state=rho)),
+         1e-7),
+    ]
+    for route, traj, bound in runs:
+        assert np.all(np.abs(traj.s) <= 1 + 1e-9), route
+        assert np.abs(traj.trace - 1.0).max() < bound, route

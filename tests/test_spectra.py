@@ -6,14 +6,15 @@ from hypothesis import strategies as st
 from kerrcat.errors import PoleError
 from kerrcat.fock import (HamiltonianParams, build_hamiltonian, coherent_state,
                           quadrature_x)
-from kerrcat.spectra import (align_offset, degeneracy_check, eigensystem,
+from kerrcat.spectra import (EigenSystem, _pair_up, align_offset,
+                             degeneracy_check, eigensystem,
                              exact_block_eigenvalues, find_splitting_zeros,
                              first_order_crossing_amplitude, localized_pair,
                              quartic_crossing_location, quartic_drive_spectrum,
                              resonant_displaced_hamiltonian,
                              second_order_energy, splitting_sweep,
                              tunnel_splitting)
-from oracles import charpoly_roots
+from oracles import charpoly_roots, greedy_pairing
 
 # frozen with cross checks at dim 80 and 120 (agree to ~1e-12)
 GOLDEN_DE_D1_E011 = -0.8534096722195373
@@ -303,6 +304,15 @@ def test_localized_pair_overlaps_coherent_states():
     assert abs(right @ right - 1) < 1e-10
     assert abs(left @ left - 1) < 1e-10
     assert abs(right @ left) < 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(parities=st.lists(st.sampled_from([1, -1]), min_size=1, max_size=16),
+       n_pairs=st.integers(-2, 18))
+def test_pair_up_matches_greedy_pairing(parities, n_pairs):
+    dim = len(parities)
+    es = EigenSystem(np.zeros(dim), np.array(parities), np.eye(dim), dim)
+    assert _pair_up(es, n_pairs) == greedy_pairing(parities, n_pairs)
 
 
 def test_localized_pair_warns_when_not_quasidegenerate():
