@@ -11,11 +11,13 @@ spectrum, also kappa and n_th for lindblad.  Every sweep table ends in an
 ``error`` column.  Exit codes: 0 success, 2 config error (including a
 ``fixed`` value outside the model's domain, a non-integer ``seed``,
 ``n_levels``, ``n_samples``, ``state.eigen``, ``state.pair`` or
-``grid.points``, and ``n_levels`` < 1, all found before any point is
-computed; no file is written), 3 numeric failure (a point that raises
-becomes one row with its parameter cells, empty result cells and the
-exception class in ``error``; the table is still written).  KERRCAT_THREADS overrides the
-worker count.
+``grid.points``, ``n_levels`` < 1, ``state.eigen`` outside [0, dim),
+``state.pair`` outside [0, dim // 2), ``grid.points`` < 2, and a trajectory
+``initial_state`` other than right_well, left_well or vacuum, all found
+before any point is computed; no file is written), 3 numeric failure (a
+point that raises becomes one row with its parameter cells, empty result
+cells and the exception class in ``error``; the table is still written).
+KERRCAT_THREADS overrides the worker count.
 """
 
 from __future__ import annotations
@@ -242,10 +244,17 @@ def cmd_wigner(cfg: dict, args):
     sel = cfg.get("state", {"eigen": 0})
     if "eigen" not in sel and "localized" not in sel:
         raise ConfigError("state must specify 'eigen' or 'localized'")
-    index = _int_setting(sel, "eigen" if "eigen" in sel else "pair", 0)
+    key = "eigen" if "eigen" in sel else "pair"
+    index = _int_setting(sel, key, 0)
     grid_cfg = cfg.get("grid", {})
     points = _int_setting(grid_cfg, "points", 201)
-    es = eigensystem(build_hamiltonian(_params(cfg)))
+    p = _params(cfg)
+    bound = p.dim if key == "eigen" else p.dim // 2
+    if not 0 <= index < bound:
+        raise ConfigError(f"state.{key} must be in [0, {bound}), got {index}")
+    if points < 2:
+        raise ConfigError(f"grid.points must be >= 2, got {points}")
+    es = eigensystem(build_hamiltonian(p))
     if "eigen" in sel:
         state = es.eigenvectors[:, index]
     else:
@@ -273,9 +282,13 @@ def _lindblad_config(cfg: dict, p: HamiltonianParams, over: dict):
 def cmd_lindblad(cfg: dict, args) -> SweepResult:
     base = _lindblad_config(cfg, _params(cfg), {})
     if cfg.get("trajectory"):
+        init = cfg.get("initial_state", "right_well")
+        if init not in ("right_well", "left_well", "vacuum"):
+            raise ConfigError("initial_state must be right_well, left_well or "
+                              f"vacuum, got {init!r}")
         table = dynamics.evolve(replace(
             base, n_samples=_int_setting(cfg, "n_samples", 201),
-            initial_state=str(cfg.get("initial_state", "right_well"))))._table()
+            initial_state=init))._table()
         table.meta["subcommand"] = "lindblad-trajectory"
         return table
 

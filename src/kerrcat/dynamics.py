@@ -30,7 +30,6 @@ order 10^3..10^4 /K cost one small eigensolve.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -42,7 +41,7 @@ from scipy.optimize import curve_fit
 from .errors import IntegrationError
 from .fock import HamiltonianParams, annihilation, build_hamiltonian, quadrature_x
 from .semiclassical import ebk_bound_state_count
-from .spectra import EigenSystem, eigensystem, localized_pair, _pair_up
+from .spectra import EigenSystem, eigensystem, _pair_up, _wells
 from .tables import SweepResult
 
 __all__ = [
@@ -110,18 +109,11 @@ def well_projectors(es: EigenSystem, n_pairs: int):
     """Projectors onto the right/left localized spans of the top pairs."""
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
-    if len(_pair_up(es, n_pairs)) < n_pairs:
+    pairs = _pair_up(es, n_pairs)
+    if len(pairs) < n_pairs:
         raise ValueError(f"spectrum does not expose {n_pairs} opposite-parity pairs")
-    dim = es.dim
-    p_r = np.zeros((dim, dim))
-    p_l = np.zeros((dim, dim))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for k in range(n_pairs):
-            right, left = localized_pair(es, k)
-            p_r += np.outer(right, right)
-            p_l += np.outer(left, left)
-    return p_r, p_l
+    right, left = _wells(es, pairs)
+    return right @ right.conj().T, left @ left.conj().T
 
 
 def well_signal(rho: np.ndarray, es: EigenSystem, n_pairs: int = 1) -> float:
@@ -168,10 +160,8 @@ class _System:
         init = self.cfg.initial_state
         if isinstance(init, str):
             if init in ("right_well", "left_well"):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    right, left = localized_pair(self.es, 0)
-                init = right if init == "right_well" else left
+                right, left = _wells(self.es, _pair_up(self.es, 1))
+                init = (right if init == "right_well" else left)[:, 0]
             elif init == "vacuum":
                 init = 0
             else:

@@ -17,9 +17,5 @@ class PoleError(KerrcatError, ZeroDivisionError):
     """Perturbative energy denominator is resonant."""
 
 
-class ParityResolutionError(KerrcatError, RuntimeError):
-    """Eigenvector parity could not be resolved to +/-1."""
-
-
 class IntegrationError(KerrcatError, RuntimeError):
     """Time integration failed to converge under step control."""

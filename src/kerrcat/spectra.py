@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import InvalidDimensionError, ParityResolutionError, PoleError
+from .errors import InvalidDimensionError, PoleError
 from .fock import HamiltonianParams, build_hamiltonian, quadrature_x
 from .tables import SweepResult
 
@@ -54,14 +53,6 @@ class EigenSystem:
     eigenvectors: np.ndarray
     dim: int
 
-    def top_state(self, parity: int, k: int = 0) -> tuple[float, np.ndarray]:
-        """k-th highest eigenpair of the given parity."""
-        if self.parities is None:
-            raise ParityResolutionError("eigensystem carries no parity labels")
-        idx = np.nonzero(self.parities == parity)[0]
-        i = idx[k]
-        return self.eigenvalues[i], self.eigenvectors[:, i]
-
 
 @dataclass
 class TunnelSplitting:
@@ -98,13 +89,12 @@ def eigensystem(h: np.ndarray, hermitian_tol: float = 1e-10) -> EigenSystem:
     pars = np.empty(dim, dtype=int)
     vecs = np.zeros((dim, dim), dtype=complex if np.iscomplexobj(h) else float)
     pos = 0
-    for par in (1, -1):
-        idx = np.arange(0 if par == 1 else 1, dim, 2)
-        w, v = np.linalg.eigh(h[np.ix_(idx, idx)])
-        k = len(idx)
+    for start, par in ((0, 1), (1, -1)):
+        w, v = np.linalg.eigh(h[start::2, start::2])
+        k = len(w)
         vals[pos:pos + k] = w
         pars[pos:pos + k] = par
-        vecs[np.ix_(idx, np.arange(pos, pos + k))] = v
+        vecs[start::2, pos:pos + k] = v
         pos += k
     # descending energy; even member first on exact ties
     order = np.lexsort((-pars, -vals))
@@ -114,9 +104,8 @@ def eigensystem(h: np.ndarray, hermitian_tol: float = 1e-10) -> EigenSystem:
 def tunnel_splitting(p: HamiltonianParams) -> TunnelSplitting:
     """Signed ground-manifold splitting E(top even) - E(top odd)."""
     es = eigensystem(build_hamiltonian(p))
-    e_even, _ = es.top_state(1)
-    e_odd, _ = es.top_state(-1)
-    de = e_even - e_odd
+    w = es.eigenvalues
+    de = w[es.parities == 1][0] - w[es.parities == -1][0]
     return TunnelSplitting(de, abs(de), int(es.parities[0]))
 
 
@@ -124,27 +113,27 @@ def signed_splitting(delta: float, p0: HamiltonianParams) -> float:
     return tunnel_splitting(p0.with_(delta=delta)).delta_e
 
 
-def _grid_zeros(grid, vals, refine) -> list:
-    """Grid points where ``vals`` is exactly 0, plus ``refine(lo, hi)`` on
-    every grid interval where ``vals`` changes sign."""
+def _scan(p0: HamiltonianParams, grid, xtol: float):
+    """Signed splitting at every grid delta, and its zeros: the grid points
+    where it is exactly 0 plus a ``brentq`` root to ``xtol`` on every grid
+    interval where it changes sign."""
+    vals = np.array([signed_splitting(d, p0) for d in grid])
     zeros = []
     for i in range(len(grid) - 1):
         if vals[i] == 0.0:
             zeros.append(grid[i])
         elif vals[i] * vals[i + 1] < 0:
-            zeros.append(refine(grid[i], grid[i + 1]))
+            zeros.append(brentq(signed_splitting, grid[i], grid[i + 1],
+                                args=(p0,), xtol=xtol))
     if len(grid) and vals[-1] == 0.0:
         zeros.append(grid[-1])
-    return zeros
+    return vals, zeros
 
 
 def find_splitting_zeros(p0: HamiltonianParams, lo: float, hi: float,
                          scan_points: int = 201, xtol: float = 1e-8) -> np.ndarray:
     """Zeros of the signed splitting in [lo, hi], refined by bisection."""
-    grid = np.linspace(lo, hi, scan_points)
-    vals = np.array([signed_splitting(d, p0) for d in grid])
-    return np.array(_grid_zeros(
-        grid, vals, partial(brentq, signed_splitting, args=(p0,), xtol=xtol)))
+    return np.array(_scan(p0, np.linspace(lo, hi, scan_points), xtol)[1])
 
 
 def splitting_sweep(p0: HamiltonianParams, delta_grid: np.ndarray) -> SweepResult:
@@ -152,13 +141,11 @@ def splitting_sweep(p0: HamiltonianParams, delta_grid: np.ndarray) -> SweepResul
     delta_grid = np.asarray(delta_grid, dtype=float)
     if np.any(np.diff(delta_grid) <= 0):
         raise ValueError("delta grid must be strictly increasing")
+    vals, zeros = _scan(p0, delta_grid, 1e-8)
     out = SweepResult(["delta", "eps2", "de_signed", "abs_de"])
-    for d in delta_grid:
-        ts = tunnel_splitting(p0.with_(delta=float(d)))
-        out.append(float(d), p0.eps2, ts.delta_e, ts.abs_delta_e)
-    out.meta["zeros"] = _grid_zeros(
-        delta_grid, out.column("de_signed"),
-        partial(brentq, signed_splitting, args=(p0,), xtol=1e-8))
+    for d, de in zip(delta_grid, vals):
+        out.append(float(d), p0.eps2, de, abs(de))
+    out.meta["zeros"] = zeros
     return out
 
 
@@ -195,18 +182,16 @@ def degeneracy_check(m: int, eps2: float, kerr: float = 1.0,
     if p.dim < 2 * (m + 2):
         raise InvalidDimensionError(f"dim={p.dim} too small for m={m}")
     es = eigensystem(build_hamiltonian(p))
-    pairs = _pair_up(es, m + 1)
-    gaps = np.array([abs(es.eigenvalues[i] - es.eigenvalues[j]) for i, j in pairs])
+    even = es.eigenvalues[es.parities == 1][:m + 1]
+    odd = es.eigenvalues[es.parities == -1][:m + 1]
+    gaps = np.abs(even - odd)
     n_deg = 0
     for g in gaps:
         if g < tolerance * kerr:
             n_deg += 1
         else:
             break
-    energies = [(es.eigenvalues[i] if es.parities[i] == 1 else es.eigenvalues[j],
-                 es.eigenvalues[j] if es.parities[i] == 1 else es.eigenvalues[i])
-                for i, j in pairs]
-    return DegeneracyReport(m, energies, gaps, n_deg, tolerance)
+    return DegeneracyReport(m, list(zip(even, odd)), gaps, n_deg, tolerance)
 
 
 def resonant_displaced_hamiltonian(m: int, eps2: float, kerr: float = 1.0,
@@ -285,6 +270,8 @@ def localized_pair(es: EigenSystem, pair_index: int = 0):
     Warns when the pair is not quasi-degenerate relative to the gap to the
     next manifold.
     """
+    if pair_index < 0:
+        raise ValueError("pair_index must be >= 0")
     pairs = _pair_up(es, pair_index + 2)
     if pair_index >= len(pairs):
         raise ValueError("not enough opposite-parity pairs in the spectrum")
@@ -298,23 +285,32 @@ def localized_pair(es: EigenSystem, pair_index: int = 0):
                 f"pair {pair_index} is not quasi-degenerate "
                 f"(gap {gap:.3g} exceeds manifold gap {inter:.3g})",
                 stacklevel=2)
+    right, left = _wells(es, [(i, j)])
+    return right[:, 0], left[:, 0]
+
+
+def _wells(es: EigenSystem, pairs):
+    """(right, left) localized states of the index pairs (i, j) in ``pairs``.
+
+    Column k holds (v_i + v_j)/sqrt(2) and (v_i - v_j)/sqrt(2) for the k-th
+    pair, the two swapped where needed so that <X> > 0 on the right.
+    """
+    i, j = np.array(pairs).T
     vp, vm = es.eigenvectors[:, i], es.eigenvectors[:, j]
     right = (vp + vm) / np.sqrt(2)
     left = (vp - vm) / np.sqrt(2)
-    x = quadrature_x(es.dim)
-    if np.real(right.conj() @ x @ right) < 0:
-        right, left = left, right
-    return right, left
+    flip = np.real(np.sum(right.conj() * (quadrature_x(es.dim) @ right), axis=0)) < 0
+    return np.where(flip, left, right), np.where(flip, right, left)
 
 
 def quartic_drive_spectrum(p: HamiltonianParams, delta_grid: np.ndarray) -> SweepResult:
     """Top even/odd gap vs delta for the quartic-drive variant (eps2 = 0)."""
+    delta_grid = np.asarray(delta_grid, dtype=float)
+    vals, zeros = _scan(p, delta_grid, 1e-10)
     out = SweepResult(["delta", "eps4", "gap_signed", "abs_gap"])
-    for d in np.asarray(delta_grid, dtype=float):
-        ts = tunnel_splitting(p.with_(delta=float(d)))
-        out.append(float(d), p.eps4, ts.delta_e, ts.abs_delta_e)
-    out.meta["zeros"] = _grid_zeros(out.column("delta"), out.column("gap_signed"),
-                                    partial(quartic_crossing_location, p))
+    for d, gap in zip(delta_grid, vals):
+        out.append(float(d), p.eps4, gap, abs(gap))
+    out.meta["zeros"] = zeros
     return out
 
 

@@ -430,6 +430,37 @@ def test_non_integer_wigner_setting_is_a_config_error(tmp_path, monkeypatch,
     assert rc == 2 and not out.exists() and calls == []
 
 
+@pytest.mark.parametrize("override", ["state.eigen=999", "state.eigen=20",
+                                      "state.eigen=-1", "state.pair=-1",
+                                      "state.pair=10",
+                                      "grid.points=0", "grid.points=1"])
+def test_out_of_range_wigner_setting_is_a_config_error(tmp_path, monkeypatch,
+                                                       override):
+    calls = []
+    monkeypatch.setattr(cli, "eigensystem", lambda h: calls.append(h))
+    cfg = {"fixed": {"delta": 1.0, "eps2": 1.0, "dim": 20},
+           "state": ({"localized": "right", "pair": 0}
+                     if override.startswith("state.pair") else {"eigen": 0}),
+           "grid": {"points": 11}}
+    out = tmp_path / "w.csv"
+    rc = cli.main(["wigner", "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(out), "--set", override])
+    assert rc == 2 and not out.exists() and calls == []
+
+
+@pytest.mark.parametrize("initial_state", ["3", "bogus"])
+def test_unknown_trajectory_initial_state_is_a_config_error(
+        tmp_path, monkeypatch, initial_state):
+    calls = []
+    monkeypatch.setattr(cli.dynamics, "evolve", lambda cfg: calls.append(cfg))
+    cfg = {"fixed": {"delta": 1.0, "eps2": 0.5, "dim": 20, "t_final": 2.0},
+           "trajectory": True, "n_samples": 5}
+    out = tmp_path / "traj.csv"
+    rc = cli.main(["lindblad", "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(out), "--set", f"initial_state={initial_state}"])
+    assert rc == 2 and not out.exists() and calls == []
+
+
 @pytest.mark.parametrize("n_levels", [0, -1])
 def test_spectrum_without_levels_is_a_config_error(tmp_path, monkeypatch,
                                                    n_levels):

@@ -218,6 +218,39 @@ def test_well_projector_rank_guard():
         well_projectors(es, 0)
 
 
+@pytest.mark.filterwarnings("ignore:pair .* is not quasi-degenerate")
+@settings(max_examples=20, deadline=None)
+@given(delta=st.floats(0.0, 6.0), eps2=st.floats(0.1, 3.0),
+       dim=st.integers(16, 50), n_pairs=st.integers(1, 4))
+def test_well_projectors_sum_localized_pairs(delta, eps2, dim, n_pairs):
+    es = eigensystem(build_hamiltonian(
+        HamiltonianParams(delta=delta, eps2=eps2, dim=dim)))
+    p_r, p_l = well_projectors(es, n_pairs)
+    sum_r, sum_l = np.zeros((dim, dim)), np.zeros((dim, dim))
+    for k in range(n_pairs):
+        right, left = localized_pair(es, k)
+        sum_r += np.outer(right, right)
+        sum_l += np.outer(left, left)
+    assert np.abs(p_r - sum_r).max() < 1e-14
+    assert np.abs(p_l - sum_l).max() < 1e-14
+    assert np.abs(p_r @ p_r - p_r).max() < 1e-12
+    assert np.abs(p_r @ p_l).max() < 1e-12
+
+
+def test_dynamics_never_reaches_the_quasi_degeneracy_warning(monkeypatch):
+    # pair 0 at delta=1, eps2=0.11 is not quasi-degenerate: localized_pair
+    # warns there, but the well states of a run are built without that path
+    def fail(*args, **kwargs):
+        raise AssertionError("dynamics reached the localized_pair warning")
+
+    monkeypatch.setattr("kerrcat.spectra.warnings.warn", fail)
+    p = HamiltonianParams(delta=1.0, eps2=0.11, dim=60)
+    traj = evolve(cfg_of(p, t_final=2.0, n_samples=5))
+    assert traj.s[0] == pytest.approx(1.0, abs=0.05)
+    est = tx_lifetime(cfg_of(p, kappa=0.02, n_th=0.05, t_final=1000.0))
+    assert est.t_x > 0
+
+
 # -- rabi map and lifetimes --------------------------------------------------------
 
 def test_rabi_map_fits_and_cancellation():

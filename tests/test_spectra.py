@@ -136,6 +136,16 @@ def test_parity_commuting_eigensystem_is_exact_by_blocks(seed, n, kind,
     assert np.abs((v * w) @ v.conj().T - h).max() < 1e-10 * scale
 
 
+@settings(max_examples=30, deadline=None)
+@given(delta=st.floats(-3.0, 8.0), eps2=st.floats(0.0, 4.0),
+       eps4=st.floats(0.0, 0.5), dim=st.integers(4, 60))
+def test_parity_labels_are_exact(delta, eps2, eps4, dim):
+    es = eigensystem(build_hamiltonian(
+        HamiltonianParams(delta=delta, eps2=eps2, eps4=eps4, dim=dim)))
+    assert set(np.unique(es.parities)) <= {1, -1}
+    assert np.count_nonzero(es.parities == 1) == (dim + 1) // 2
+
+
 def test_degenerate_ground_pair_at_zero_detuning():
     es = eigensystem(build_hamiltonian(HamiltonianParams(delta=0.0, eps2=2.0, dim=60)))
     assert abs(es.eigenvalues[0] - es.eigenvalues[1]) < 1e-10
@@ -319,6 +329,13 @@ def test_localized_pair_warns_when_not_quasidegenerate():
     es = eigensystem(build_hamiltonian(HamiltonianParams(delta=1.0, eps2=0.11, dim=60)))
     with pytest.warns(UserWarning):
         localized_pair(es, 0)
+
+
+@pytest.mark.parametrize("pair_index", [-1, -2])
+def test_localized_pair_rejects_a_negative_index(pair_index):
+    es = eigensystem(build_hamiltonian(HamiltonianParams(delta=1.0, eps2=1.0, dim=20)))
+    with pytest.raises(ValueError):
+        localized_pair(es, pair_index)
 
 
 def test_quartic_crossings_reduce_to_even_integers():
