@@ -7,8 +7,8 @@ from .fock import (HamiltonianParams, annihilation, build_hamiltonian,
 from .spectra import (EigenSystem, TunnelSplitting, degeneracy_check,
                       eigensystem, exact_block_eigenvalues,
                       find_splitting_zeros, first_order_crossing_amplitude,
-                      localized_pair, second_order_energy, splitting_sweep,
-                      tunnel_splitting)
+                      levels, localized_pair, second_order_energy,
+                      splitting_sweep, tunnel_splitting)
 from .semiclassical import (EbkCount, MetapotentialGeometry, PhaseRegion,
                             classify_phase, ebk_bound_state_count, geometry,
                             metapotential_classical, separatrix_area,

@@ -231,9 +231,9 @@ def cmd_spectrum(cfg: dict, args) -> SweepResult:
         raise ConfigError(f"n_levels must be >= 1, got {n_levels}")
 
     def point(p, over):
-        es = eigensystem(build_hamiltonian(p))
-        return [(p.delta, p.eps2, p.eps4, k, float(es.eigenvalues[k]),
-                 int(es.parities[k]), "") for k in range(min(n_levels, p.dim))]
+        energies, parities = spectra.levels(p)
+        return [(p.delta, p.eps2, p.eps4, k, float(energies[k]),
+                 int(parities[k]), "") for k in range(min(n_levels, p.dim))]
 
     return _sweep(cfg, args, ("delta", "eps2", "eps4"),
                   lambda names: ["delta", "eps2", "eps4", "level", "energy",

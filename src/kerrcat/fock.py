@@ -30,6 +30,7 @@ __all__ = [
     "quadrature_x",
     "parity_operator",
     "coherent_state",
+    "hamiltonian_bands",
     "build_hamiltonian",
     "displacement_operator",
     "displaced_hamiltonian",
@@ -117,23 +118,29 @@ def coherent_state(alpha: complex, dim: int) -> np.ndarray:
     return np.exp(logmod) * phase
 
 
-def build_hamiltonian(p: HamiltonianParams) -> np.ndarray:
-    """Dense real-symmetric Hamiltonian in the truncated Fock basis.
+def hamiltonian_bands(p: HamiltonianParams):
+    """(diag, c2, c4): the three bands of the model Hamiltonian.
 
-    Diagonal: delta*n - kerr*n(n-1).  Off-diagonals: eps2 couples n <-> n+2,
-    eps4 couples n <-> n+4.
+    ``diag[n] = delta*n - kerr*n(n-1)``; ``c2[n]`` (length dim-2) couples
+    n <-> n+2 and ``c4[n]`` (length dim-4) couples n <-> n+4.  A band is
+    zero when its drive is off.
     """
-    dim = p.dim
-    n = np.arange(dim, dtype=float)
-    h = np.diag(p.delta * n - p.kerr * n * (n - 1))
-    if p.eps2:
-        m = np.arange(dim - 2, dtype=float)
-        c2 = p.eps2 * np.sqrt((m + 1) * (m + 2))
-        h += np.diag(c2, 2) + np.diag(c2, -2)
-    if p.eps4:
-        m = np.arange(dim - 4, dtype=float)
-        c4 = p.eps4 * np.sqrt((m + 1) * (m + 2) * (m + 3) * (m + 4))
-        h += np.diag(c4, 4) + np.diag(c4, -4)
+    n = np.arange(p.dim, dtype=float)
+    diag = p.delta * n - p.kerr * n * (n - 1)
+    m = n[:-2]
+    c2 = p.eps2 * np.sqrt((m + 1) * (m + 2))
+    m = n[:-4]
+    c4 = p.eps4 * np.sqrt((m + 1) * (m + 2) * (m + 3) * (m + 4))
+    return diag, c2, c4
+
+
+def build_hamiltonian(p: HamiltonianParams) -> np.ndarray:
+    """Dense real-symmetric Hamiltonian in the truncated Fock basis, from
+    :func:`hamiltonian_bands`."""
+    diag, c2, c4 = hamiltonian_bands(p)
+    h = np.diag(diag)
+    for k, c in ((2, c2), (4, c4)):
+        h += np.diag(c, k) + np.diag(c, -k)
     return h
 
 

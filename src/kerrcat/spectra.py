@@ -1,10 +1,18 @@
 """Eigenanalysis: parity-resolved spectra, tunnel splittings, degeneracies.
 
-The eigensolver exploits the structure of the model: for Hamiltonians, real
-or complex, that conserve photon-number parity (couplings n <-> n+2, n+4
-only) the even and odd Fock sub-blocks are diagonalised separately and
-merged, which labels every eigenvector with an exact parity and resolves
-degenerate even/odd pairs without ambiguity.
+Both solvers exploit the structure of the model: a Hamiltonian that
+conserves photon-number parity (couplings n <-> n+2, n+4 only) splits into
+an even and an odd Fock block, solved separately and merged, so every level
+carries an exact parity and degenerate even/odd pairs stay resolved.
+
+* :func:`levels` takes the model parameters and returns eigenvalues only.
+  It stores each parity block in banded form (bandwidth 1, or 2 with eps4)
+  and never builds the dim x dim matrix.  Splittings, zero searches,
+  degeneracy checks and level lists use it.
+* :func:`eigensystem` takes any Hermitian matrix and returns eigenvectors
+  too, by dense solves of the parity blocks (or of the whole matrix when it
+  does not commute with parity).  Use it where states are needed: dynamics,
+  Wigner functions, localized well states.
 """
 
 from __future__ import annotations
@@ -13,10 +21,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eig_banded
 from scipy.optimize import brentq
 
 from .errors import InvalidDimensionError, PoleError
-from .fock import HamiltonianParams, build_hamiltonian, quadrature_x
+from .fock import HamiltonianParams, hamiltonian_bands, quadrature_x
 from .tables import SweepResult
 
 __all__ = [
@@ -24,6 +33,7 @@ __all__ = [
     "TunnelSplitting",
     "DegeneracyReport",
     "eigensystem",
+    "levels",
     "tunnel_splitting",
     "signed_splitting",
     "splitting_sweep",
@@ -96,17 +106,42 @@ def eigensystem(h: np.ndarray, hermitian_tol: float = 1e-10) -> EigenSystem:
         pars[pos:pos + k] = par
         vecs[start::2, pos:pos + k] = v
         pos += k
-    # descending energy; even member first on exact ties
-    order = np.lexsort((-pars, -vals))
+    order = _descending(vals, pars)
     return EigenSystem(vals[order], pars[order], vecs[:, order], dim)
+
+
+def _descending(vals, pars):
+    """Order of descending energy, the even member first on exact ties."""
+    return np.lexsort((-pars, -vals))
+
+
+def levels(p: HamiltonianParams):
+    """(energies, parities) of the model Hamiltonian, ordered as
+    :func:`eigensystem` orders them: descending, even member first on exact
+    ties.  Each parity block is solved for its eigenvalues only, in upper
+    banded storage (bandwidth 1, or 2 when eps4 != 0)."""
+    diag, c2, c4 = hamiltonian_bands(p)
+    u = 2 if p.eps4 else 1
+    vals, pars = [], []
+    for start, par in ((0, 1), (1, -1)):
+        band = np.zeros((u + 1, len(diag[start::2])))
+        band[u] = diag[start::2]
+        band[u - 1, 1:] = c2[start::2]
+        if u == 2:
+            band[0, 2:] = c4[start::2]
+        vals.append(eig_banded(band, eigvals_only=True, overwrite_a_band=True,
+                               check_finite=False))
+        pars.append(np.full(band.shape[1], par))
+    vals, pars = np.concatenate(vals), np.concatenate(pars)
+    order = _descending(vals, pars)
+    return vals[order], pars[order]
 
 
 def tunnel_splitting(p: HamiltonianParams) -> TunnelSplitting:
     """Signed ground-manifold splitting E(top even) - E(top odd)."""
-    es = eigensystem(build_hamiltonian(p))
-    w = es.eigenvalues
-    de = w[es.parities == 1][0] - w[es.parities == -1][0]
-    return TunnelSplitting(de, abs(de), int(es.parities[0]))
+    w, pars = levels(p)
+    de = w[pars == 1][0] - w[pars == -1][0]
+    return TunnelSplitting(de, abs(de), int(pars[0]))
 
 
 def signed_splitting(delta: float, p0: HamiltonianParams) -> float:
@@ -181,9 +216,9 @@ def degeneracy_check(m: int, eps2: float, kerr: float = 1.0,
                           dim=dim if dim else 0)
     if p.dim < 2 * (m + 2):
         raise InvalidDimensionError(f"dim={p.dim} too small for m={m}")
-    es = eigensystem(build_hamiltonian(p))
-    even = es.eigenvalues[es.parities == 1][:m + 1]
-    odd = es.eigenvalues[es.parities == -1][:m + 1]
+    w, pars = levels(p)
+    even = w[pars == 1][:m + 1]
+    odd = w[pars == -1][:m + 1]
     gaps = np.abs(even - odd)
     n_deg = 0
     for g in gaps:

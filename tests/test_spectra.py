@@ -1,16 +1,21 @@
+import json
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kerrcat import cli, fock, spectra
 from kerrcat.errors import PoleError
 from kerrcat.fock import (HamiltonianParams, build_hamiltonian, coherent_state,
                           quadrature_x)
 from kerrcat.spectra import (EigenSystem, _pair_up, align_offset,
                              degeneracy_check, eigensystem,
                              exact_block_eigenvalues, find_splitting_zeros,
-                             first_order_crossing_amplitude, localized_pair,
-                             quartic_crossing_location, quartic_drive_spectrum,
+                             first_order_crossing_amplitude, levels,
+                             localized_pair, quartic_crossing_location,
+                             quartic_drive_spectrum,
                              resonant_displaced_hamiltonian,
                              second_order_energy, splitting_sweep,
                              tunnel_splitting)
@@ -144,6 +149,59 @@ def test_parity_labels_are_exact(delta, eps2, eps4, dim):
         HamiltonianParams(delta=delta, eps2=eps2, eps4=eps4, dim=dim)))
     assert set(np.unique(es.parities)) <= {1, -1}
     assert np.count_nonzero(es.parities == 1) == (dim + 1) // 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(delta=st.floats(-3.0, 10.0),
+       eps2=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+       eps4=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+       dim=st.integers(4, 80))
+def test_banded_levels_match_dense_parity_blocks(delta, eps2, eps4, dim):
+    p = HamiltonianParams(delta=delta, eps2=eps2, eps4=eps4, dim=dim)
+    es = eigensystem(build_hamiltonian(p))
+    energies, parities = levels(p)
+    scale = np.abs(es.eigenvalues).max()
+    assert np.all(np.diff(energies) <= 0)
+    for par in (1, -1):
+        got, ref = energies[parities == par], es.eigenvalues[es.parities == par]
+        assert len(got) == len(ref)
+        assert np.abs(got - ref).max() <= 1e-12 * scale
+    ts = tunnel_splitting(p)
+    ref_de = (es.eigenvalues[es.parities == 1][0]
+              - es.eigenvalues[es.parities == -1][0])
+    if abs(ref_de) > 1e-9 * scale:
+        assert ts.ground_parity == es.parities[0]
+
+
+def test_splittings_and_level_lists_build_no_dense_matrix(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense Hamiltonian or eigensolve on a splitting path")
+
+    # every kerrcat name bound to the dense builder or solver, plus numpy's eigh
+    for original in (fock.build_hamiltonian, spectra.eigensystem):
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "kerrcat":
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert cli.build_hamiltonian is refuse and cli.eigensystem is refuse
+
+    p = HamiltonianParams(delta=1.0, eps2=0.11, dim=80)
+    assert tunnel_splitting(p).delta_e == pytest.approx(GOLDEN_DE_D1_E011, abs=1e-9)
+    zeros = find_splitting_zeros(p.with_(eps2=0.5), 1.0, 3.0, scan_points=11)
+    assert np.abs(zeros - [2.0]).max() < 1e-6
+    assert degeneracy_check(1, 0.5, dim=40).ok
+    quartic = HamiltonianParams(delta=2.0, eps4=0.05, dim=60)
+    assert len(quartic_drive_spectrum(quartic, np.linspace(1.5, 2.5, 5)).rows) == 5
+    for command, axis in (("splitting", "eps2"), ("spectrum", "eps4")):
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps({
+            "fixed": {"delta": 2.0, "dim": 40}, "n_levels": 4,
+            "axes": [{"name": axis, "start": 0.2, "stop": 1.0, "count": 3}]}))
+        out = tmp_path / f"{command}.csv"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out),
+                         "--threads", "1"]) == 0
 
 
 def test_degenerate_ground_pair_at_zero_detuning():
