@@ -8,16 +8,17 @@ calibrate.  The config is a JSON object; ``--set`` overrides win (dotted
 paths address nested keys).  A sweep takes a ``fixed`` table and one or two
 ``axes``: delta and eps2 for splitting/wkb/ebk/geometry, also eps4 for
 spectrum, also kappa and n_th for lindblad.  Every sweep table ends in an
-``error`` column.  Exit codes: 0 success, 2 config error (including a
-``fixed`` value outside the model's domain, a non-integer ``seed``,
-``n_levels``, ``n_samples``, ``state.eigen``, ``state.pair`` or
-``grid.points``, ``n_levels`` < 1, ``state.eigen`` outside [0, dim),
-``state.pair`` outside [0, dim // 2), ``grid.points`` < 2, and a trajectory
-``initial_state`` other than right_well, left_well or vacuum, all found
-before any point is computed; no file is written), 3 numeric failure (a
-point that raises becomes one row with its parameter cells, empty result
-cells and the exception class in ``error``; the table is still written).
-KERRCAT_THREADS overrides the worker count.
+``error`` column.  Exit codes: 0 success; 2 config error, found before any
+point is computed, with no file written: a ``fixed`` value outside the
+model's domain; a non-integer ``seed``, ``n_levels``, ``n_samples``,
+``state.eigen``, ``state.pair`` or ``grid.points``; ``n_levels`` < 1,
+``n_samples`` < 2 or ``grid.points`` < 2; ``state.eigen`` outside [0, dim)
+or ``state.pair`` outside [0, dim // 2); a ``state.localized`` other than
+right or left; a ``grid.extent`` that is not a positive finite number; a
+trajectory ``initial_state`` other than right_well, left_well or vacuum.
+3 numeric failure: a point that raises becomes one row with its parameter
+cells, empty result cells and the exception class in ``error``; the table
+is still written.  KERRCAT_THREADS overrides the worker count.
 """
 
 from __future__ import annotations
@@ -138,9 +139,9 @@ def _params(cfg: dict, **over) -> HamiltonianParams:
         raise ConfigError(f"bad fixed parameters: {exc}") from exc
 
 
-def _int_setting(cfg: dict, key: str, default=None):
+def _int_setting(cfg: dict, key: str, default=None, low=None):
     """Integer config value ``key`` (``default`` when absent); anything that
-    is not an integer is a config error."""
+    is not an integer, or is below ``low``, is a config error."""
     val = cfg.get(key, default)
     if val is None:
         return None
@@ -150,6 +151,8 @@ def _int_setting(cfg: dict, key: str, default=None):
         num = None
     if num is None or (isinstance(val, float) and num != val):
         raise ConfigError(f"{key} must be an integer, got {val!r}")
+    if low is not None and num < low:
+        raise ConfigError(f"{key} must be >= {low}, got {num}")
     return num
 
 
@@ -226,9 +229,7 @@ def cmd_splitting(cfg: dict, args) -> SweepResult:
 
 
 def cmd_spectrum(cfg: dict, args) -> SweepResult:
-    n_levels = _int_setting(cfg, "n_levels", 8)
-    if n_levels < 1:
-        raise ConfigError(f"n_levels must be >= 1, got {n_levels}")
+    n_levels = _int_setting(cfg, "n_levels", 8, low=1)
 
     def point(p, over):
         energies, parities = spectra.levels(p)
@@ -242,25 +243,29 @@ def cmd_spectrum(cfg: dict, args) -> SweepResult:
 
 def cmd_wigner(cfg: dict, args):
     sel = cfg.get("state", {"eigen": 0})
-    if "eigen" not in sel and "localized" not in sel:
-        raise ConfigError("state must specify 'eigen' or 'localized'")
+    if "eigen" not in sel and sel.get("localized") not in ("right", "left"):
+        raise ConfigError("state must specify 'eigen', or 'localized' as right "
+                          f"or left, got {sel!r}")
     key = "eigen" if "eigen" in sel else "pair"
     index = _int_setting(sel, key, 0)
     grid_cfg = cfg.get("grid", {})
-    points = _int_setting(grid_cfg, "points", 201)
+    points = _int_setting(grid_cfg, "points", 201, low=2)
+    extent = grid_cfg.get("extent")
+    if extent is not None and not (type(extent) in (int, float)
+                                   and 0 < extent < np.inf):
+        raise ConfigError("grid.extent must be a positive finite number, got "
+                          f"{extent!r}")
     p = _params(cfg)
     bound = p.dim if key == "eigen" else p.dim // 2
     if not 0 <= index < bound:
         raise ConfigError(f"state.{key} must be in [0, {bound}), got {index}")
-    if points < 2:
-        raise ConfigError(f"grid.points must be >= 2, got {points}")
     es = eigensystem(build_hamiltonian(p))
     if "eigen" in sel:
         state = es.eigenvectors[:, index]
     else:
         right, left = localized_pair(es, index)
         state = right if sel["localized"] == "right" else left
-    return wigner_function(state, points=points, extent=grid_cfg.get("extent"))
+    return wigner_function(state, points=points, extent=extent)
 
 
 def _lindblad_config(cfg: dict, p: HamiltonianParams, over: dict):
@@ -287,7 +292,7 @@ def cmd_lindblad(cfg: dict, args) -> SweepResult:
             raise ConfigError("initial_state must be right_well, left_well or "
                               f"vacuum, got {init!r}")
         table = dynamics.evolve(replace(
-            base, n_samples=_int_setting(cfg, "n_samples", 201),
+            base, n_samples=_int_setting(cfg, "n_samples", 201, low=2),
             initial_state=init))._table()
         table.meta["subcommand"] = "lindblad-trajectory"
         return table

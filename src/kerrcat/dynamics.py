@@ -12,20 +12,19 @@ route, and one observer samples them all:
   control: fourth-order commutator-free Magnus steps, two exponentials of
   combinations of H at the Gauss nodes t + (1/2 -+ sqrt(3)/6) dt per step;
 * ``expm``    - exact stepping with exp(L tau) of the Liouvillian projected
-  onto the top eigenvectors of H, one propagator per parity block.  The rank
-  is raised until the basis holds tr rho(0) to 1e-6 relative (rho(0) need
-  not be normalised); the projected Lindbladian keeps the trace exactly, so
-  this certifies the basis, not the truncation.
+  onto the top eigenvectors of H, one propagator per parity block; the rank
+  loop in ``_evolve_expm`` certifies the basis, not the truncation.
 
-Photon parity is a weak symmetry of the Lindbladian: in the eigenbasis of H
-it couples no element rho_ij with equal parities i, j to one with opposite
-parities.  The reduced Liouvillian is therefore only ever built as these two
-blocks (each about half of the rank^2 pairs wide), never as one matrix.
-``tx_lifetime`` does not step in time: the well signal lives in the
-opposite-parity block, and T_X = -1 / Re lambda_1 follows from that block's
-eigenvalue nearest 0.  It is certified by the trace of the projected rho(0)
-and by agreement of T_X between rank r and r + 12, which makes lifetimes of
-order 10^3..10^4 /K cost one small eigensolve.
+Photon parity is a weak symmetry of the Lindbladian: it couples no element
+rho_mn with m + n even to one with m + n odd (in the eigenbasis of H, none
+with equal parities i, j to one with opposite ones), so ``expm`` builds its
+reduced Liouvillian only as these two blocks.  ``tx_lifetime`` does not step
+in time: T_X = -1 / Re lambda_1, lambda_1 the eigenvalue nearest 0 of the
+sparse Fock-basis Liouvillian on the sector m + n odd, where the well signal
+lives; H is never diagonalised.  T_X at dim and dim + 12 must agree to 1e-6
+relative, else ``TruncationRiskError``: this certifies the truncation.
+``rank``, ``initial_state``, ``n_samples``, ``n_pairs`` and ``method`` do
+not enter T_X.
 """
 
 from __future__ import annotations
@@ -35,10 +34,11 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.optimize import curve_fit
 
-from .errors import IntegrationError
+from .errors import IntegrationError, TruncationRiskError
 from .fock import HamiltonianParams, annihilation, build_hamiltonian, quadrature_x
 from .semiclassical import ebk_bound_state_count
 from .spectra import EigenSystem, eigensystem, _pair_up, _wells
@@ -69,6 +69,8 @@ class LindbladConfig:
     def __post_init__(self):
         if self.t_final <= 0:
             raise ValueError("t_final must be positive")
+        if self.n_samples < 2:
+            raise ValueError("n_samples must be >= 2")
         if self.kappa < 0 or self.n_th < 0:
             raise ValueError("kappa and n_th must be >= 0")
         if not np.isfinite(self.kappa * (1.0 + self.n_th)):
@@ -369,50 +371,38 @@ def _parity_block(sys: _System, rank: int, odd: bool):
     return pairs, _liouvillian_entries(sys, rank, pairs, pairs)
 
 
-def _certified_rank(sys: _System, run):
-    """(rank, trace loss of the projected rho(0), run(rank)) for the first
-    rank, raised by 12 at a time, whose basis keeps tr rho(0) to 1e-6
-    relative and whose error (the last item of ``run(rank)``) is below 1e-6.
-    ``run`` is not called at a rank that already loses the trace; the full
-    basis is taken as it is."""
+def _evolve_expm(sys: _System) -> Trajectory:
+    """Exact stepping in the top ``rank`` eigenvectors of H: from ``cfg.rank``
+    (default min(dim, 32)) up by 12, at most 4 tries, to the first rank that
+    keeps tr rho(0) (normalised or not) to 1e-6 relative and whose run keeps
+    it to 1e-6.  The projected Lindbladian keeps the trace exactly, so no
+    run is made at a rank that loses it; the full basis is taken as is."""
+    tau = sys.cfg.t_final / (sys.cfg.n_samples - 1)
     rho0 = sys.initial_rho()
     tr0 = float(np.real(np.trace(rho0)))
     rank = sys.cfg.rank if sys.cfg.rank else min(sys.dim, 32)
     for _ in range(4):
         vr = sys.es.eigenvectors[:, :rank]
-        loss = abs(1.0 - float(np.real(np.trace(vr.conj().T @ rho0 @ vr))) / tr0)
-        if loss < 1e-6 or rank >= sys.dim:
-            out = run(rank)
-            if out[-1] < 1e-6 or rank >= sys.dim:
-                return rank, loss, out
+        rho0_r = vr.conj().T @ rho0 @ vr
+        full = rank >= sys.dim
+        if full or abs(1.0 - float(np.real(np.trace(rho0_r))) / tr0) < 1e-6:
+            props = [(pairs, sla.expm(liou * tau)) for pairs, liou in
+                     (_parity_block(sys, rank, odd) for odd in (False, True))]
+
+            def step(rho, t, dt):
+                for pairs, prop in props:
+                    rho[pairs] = prop @ rho[pairs]
+                return rho
+
+            rows, rho = _run(sys, rho0_r, step,
+                             ops=tuple(vr.conj().T @ op @ vr for op in sys.ops))
+            tr_err = max(abs(1.0 - row[3] / tr0) for row in rows)
+            if full or tr_err < 1e-6:
+                return _traj_from_samples(sys, rows, vr @ rho @ vr.conj().T,
+                                          {"method": "expm", "rank": rank,
+                                           "trace_error": tr_err})
         rank = min(sys.dim, rank + 12)
     raise IntegrationError("eigenbasis rank did not certify in 4 tries")
-
-
-def _evolve_expm(sys: _System) -> Trajectory:
-    tau = sys.cfg.t_final / (sys.cfg.n_samples - 1)
-    rho0 = sys.initial_rho()
-    tr0 = float(np.real(np.trace(rho0)))
-
-    def run(rank):
-        vr = sys.es.eigenvectors[:, :rank]
-        props = [(pairs, sla.expm(liou * tau)) for pairs, liou in
-                 (_parity_block(sys, rank, odd) for odd in (False, True))]
-
-        def step(rho, t, dt):
-            for pairs, prop in props:
-                rho[pairs] = prop @ rho[pairs]
-            return rho
-
-        rows, rho = _run(sys, vr.conj().T @ rho0 @ vr, step,
-                         ops=tuple(vr.conj().T @ op @ vr for op in sys.ops))
-        return rows, vr @ rho @ vr.conj().T, max(abs(1.0 - row[3] / tr0)
-                                                 for row in rows)
-
-    rank, _, (rows, rho_f, tr_err) = _certified_rank(sys, run)
-    return _traj_from_samples(sys, rows, rho_f,
-                              {"method": "expm", "rank": rank,
-                               "trace_error": tr_err})
 
 
 # -- Rabi maps and lifetime extraction -----------------------------------------
@@ -478,44 +468,47 @@ class TxEstimate:
 
 
 def tx_lifetime(cfg: LindbladConfig) -> TxEstimate:
-    """Well-switching lifetime T_X = -1 / Re lambda_1 from the gap of the
-    parity-odd Liouvillian block (see the module docstring).
+    """Well-switching lifetime T_X from the odd Fock sector, certified
+    against dim + 12 (see the module docstring).
 
-    The rank is certified when the projected initial state keeps its trace
-    to 1e-6 and T_X at rank + 12 agrees to 1e-6 relative; otherwise it is
-    raised by 12, at most 4 tries.  ``rank`` is the rank used.  When
-    ``t_final`` < T_X ln(1/0.95) no decay is resolved by ``t_final``, and
-    the estimate is the lower bound t_x = t_final.
+    ``rank`` is dim and ``trace_error`` 0: the sector spans the whole
+    truncated space.  When ``t_final`` < T_X ln(1/0.95) no decay is resolved
+    by ``t_final``, and the estimate is the lower bound t_x = t_final.
     """
     if cfg.kappa <= 0:
         raise ValueError("tx_lifetime requires kappa > 0")
-    sys = _System(cfg)
-    gaps = {}
-
-    def t_x_at(rank):
-        if rank not in gaps:
-            gaps[rank] = -1.0 / _gap(_parity_block(sys, rank, True)[1]).real
-        return gaps[rank]
-
-    def run(rank):
-        t_x = t_x_at(rank)
-        converged = abs(t_x_at(min(sys.dim, rank + 12)) - t_x) <= 1e-6 * abs(t_x)
-        return t_x, 0.0 if converged else np.inf
-
-    rank, tr_err, (t_x, _) = _certified_rank(sys, run)
+    dim = cfg.params.dim
+    t_x = _odd_sector_tx(cfg, dim)
+    if not abs(_odd_sector_tx(cfg, dim + 12) - t_x) <= 1e-6 * abs(t_x):
+        raise TruncationRiskError(
+            f"T_X at dim {dim} and dim {dim + 12} differ by more than 1e-6")
     if cfg.t_final < t_x * np.log(1 / 0.95):
-        return TxEstimate(float(cfg.t_final), True, rank, tr_err)
-    return TxEstimate(float(t_x), False, rank, tr_err)
+        return TxEstimate(float(cfg.t_final), True, dim, 0.0)
+    return TxEstimate(float(t_x), False, dim, 0.0)
 
 
-def _gap(block: np.ndarray) -> complex:
-    """Eigenvalue of ``block`` nearest 0: shift-invert ARPACK, or a dense
-    solve for blocks no larger than ARPACK's default Krylov basis (20)."""
-    if len(block) > 20:
-        return spla.eigs(block, k=1, sigma=0, v0=np.ones(len(block)),
-                         return_eigenvectors=False)[0]
-    lams = np.linalg.eigvals(block)
-    return lams[np.argmin(np.abs(lams))] if len(lams) else complex(np.nan)
+def _odd_sector_tx(cfg: LindbladConfig, dim: int) -> float:
+    """-1 / Re lambda_1 of the Liouvillian in the Fock basis at ``dim``
+    (row-major rho, vec(A rho B) = kron(A, B^T) vec rho), lambda_1 the
+    eigenvalue nearest 0 of the sector rho_mn with m + n odd: one sparse
+    shift-invert solve."""
+    h = sp.csr_matrix(build_hamiltonian(cfg.params.with_(dim=dim)))
+    a = sp.csr_matrix(annihilation(dim))
+    eye = sp.identity(dim, format="csr")
+    liou = -1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
+    for rate, op in ((cfg.kappa * (1 + cfg.n_th), a),
+                     (cfg.kappa * cfg.n_th, a.T)):
+        if rate > 0:
+            od_o = op.conj().T @ op
+            liou = liou + rate * (sp.kron(op, op.conj())
+                                  - 0.5 * sp.kron(od_o, eye)
+                                  - 0.5 * sp.kron(eye, od_o.T))
+    n = np.arange(dim)
+    odd = np.flatnonzero((n[:, None] + n[None, :]) % 2)
+    block = sp.csr_matrix(liou)[odd][:, odd].tocsc()
+    lam = spla.eigs(block, k=1, sigma=0, v0=np.ones(len(odd)),
+                    return_eigenvectors=False)[0]
+    return -1.0 / lam.real
 
 
 # -- ramp protocols -------------------------------------------------------------

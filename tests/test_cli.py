@@ -310,6 +310,22 @@ def test_lindblad_tx_error_row_has_empty_rank(tmp_path):
     assert int(rows[1][i_rank]) >= 32 and rows[1][i_err] == ""
 
 
+def test_lindblad_tx_truncation_failure_is_an_error_row(tmp_path):
+    # dim 12 does not hold T_X at delta = 2: T_X at dim 24 differs
+    cfg = {
+        "fixed": {"delta": 2.0, "eps2": 2.17, "dim": 12, "kappa": 0.02,
+                  "n_th": 0.05, "t_final": 6000.0},
+        "axes": [{"name": "delta", "start": 2.0, "stop": 2.0, "count": 2}],
+    }
+    out = tmp_path / "tx.csv"
+    rc = cli.main(["lindblad", "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(out)])
+    assert rc == 3
+    header, rows = read_csv(out)
+    assert [r[header.index("error")] for r in rows] == ["TruncationRiskError"] * 2
+    assert all(r[header.index("t_x")] == "" for r in rows)
+
+
 def test_cli_entry_point_subprocess(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
@@ -445,6 +461,35 @@ def test_out_of_range_wigner_setting_is_a_config_error(tmp_path, monkeypatch,
     out = tmp_path / "w.csv"
     rc = cli.main(["wigner", "--config", write_cfg(tmp_path, cfg),
                    "--out", str(out), "--set", override])
+    assert rc == 2 and not out.exists() and calls == []
+
+
+@pytest.mark.parametrize("override", ["state.localized=banana",
+                                      "grid.extent=0", "grid.extent=-3",
+                                      "grid.extent=abc", "grid.extent=nan"])
+def test_bad_wigner_state_or_extent_is_a_config_error(tmp_path, monkeypatch,
+                                                      override):
+    calls = []
+    monkeypatch.setattr(cli, "eigensystem", lambda h: calls.append(h))
+    cfg = {"fixed": {"delta": 1.0, "eps2": 1.0, "dim": 20},
+           "state": {"localized": "right", "pair": 0},
+           "grid": {"points": 11, "extent": 6.0}}
+    out = tmp_path / "w.csv"
+    rc = cli.main(["wigner", "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(out), "--set", override])
+    assert rc == 2 and not out.exists() and calls == []
+
+
+@pytest.mark.parametrize("n_samples", [1, 0, -3])
+def test_trajectory_with_fewer_than_two_samples_is_a_config_error(
+        tmp_path, monkeypatch, n_samples):
+    calls = []
+    monkeypatch.setattr(cli.dynamics, "evolve", lambda cfg: calls.append(cfg))
+    cfg = {"fixed": {"delta": 1.0, "eps2": 0.5, "dim": 20, "t_final": 100.0},
+           "trajectory": True, "n_samples": n_samples}
+    out = tmp_path / "traj.csv"
+    rc = cli.main(["lindblad", "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(out)])
     assert rc == 2 and not out.exists() and calls == []
 
 

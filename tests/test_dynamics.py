@@ -6,11 +6,12 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import kerrcat.dynamics
+import kerrcat.spectra
 from kerrcat.dynamics import (LindbladConfig, RampProtocol, RampSegment,
                               default_n_pairs, evolve, fit_decaying_cosine,
                               lindblad_rhs, rabi_map, run_protocol,
                               tx_lifetime, well_projectors, well_signal)
-from kerrcat.errors import IntegrationError
+from kerrcat.errors import IntegrationError, TruncationRiskError
 from kerrcat.fock import HamiltonianParams, build_hamiltonian, parity_operator
 from kerrcat.spectra import eigensystem, localized_pair, tunnel_splitting
 
@@ -94,6 +95,14 @@ def test_config_validation():
         LindbladConfig(params=p, t_final=0.0)
     with pytest.raises(ValueError):
         LindbladConfig(params=p, t_final=1.0, kappa=-0.1)
+
+
+@pytest.mark.parametrize("n_samples", [1, 0, -3])
+def test_fewer_than_two_samples_is_rejected(n_samples):
+    # one sample would never evolve; none would observe nothing
+    p = HamiltonianParams(delta=1.0, eps2=0.5, dim=20)
+    with pytest.raises(ValueError):
+        LindbladConfig(params=p, t_final=100.0, n_samples=n_samples)
 
 
 # -- evolution -------------------------------------------------------------------
@@ -296,15 +305,50 @@ def test_tx_requires_dissipation():
 
 
 def test_tx_uncertified_rank_raises():
-    # a high Fock state lies outside every basis the rank loop tries
+    # a high Fock state lies outside every basis the expm rank loop tries
     p = HamiltonianParams(delta=2.0, eps2=2.17, dim=40)
-    cfg = cfg_of(p, kappa=1 / 50, n_th=0.05, t_final=10.0, rank=1,
-                 initial_state=39)
-    with pytest.raises(IntegrationError):
-        tx_lifetime(cfg)
     with pytest.raises(IntegrationError):
         evolve(cfg_of(p, kappa=1 / 50, n_th=0.05, t_final=10.0, n_samples=11,
                       method="expm", rank=1, initial_state=39))
+
+
+def test_tx_truncation_certificate_raises_a_too_small_dim():
+    # dim 12 gives T_X = 1708, far from the converged 2624 at dim >= 24
+    p = HamiltonianParams(delta=2.0, eps2=2.17, dim=12)
+    with pytest.raises(TruncationRiskError):
+        tx_lifetime(cfg_of(p, kappa=0.02, n_th=0.05, t_final=6000.0))
+
+
+def test_tx_solves_no_eigensystem_of_h(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("tx_lifetime diagonalised H")
+
+    monkeypatch.setattr(kerrcat.dynamics, "eigensystem", fail)
+    monkeypatch.setattr(kerrcat.spectra, "eigensystem", fail)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    p = HamiltonianParams(delta=2.0, eps2=2.17, dim=60)
+    est = tx_lifetime(cfg_of(p, kappa=1 / 50, n_th=0.05, t_final=6000.0))
+    assert (est.rank, est.trace_error) == (60, 0.0)
+    assert est.t_x == pytest.approx(TX_GOLDEN_D2, rel=0.02)
+
+
+@settings(max_examples=40, deadline=None)
+@given(delta=st.floats(-2.0, 6.0), eps2=st.floats(0.0, 3.0),
+       eps4=st.one_of(st.just(0.0), st.floats(0.0, 0.2)),
+       kappa=st.floats(1e-3, 0.2), n_th=st.floats(0.0, 0.5),
+       dim=st.integers(4, 16))
+def test_odd_sector_tx_matches_the_full_rank_eigenbasis_block(
+        delta, eps2, eps4, kappa, n_th, dim):
+    # the opposite-parity eigenbasis block at full rank spans the same
+    # space as the Fock sector m + n odd
+    p = HamiltonianParams(delta=delta, eps2=eps2, eps4=eps4, dim=dim)
+    cfg = cfg_of(p, kappa=kappa, n_th=n_th)
+    lams = np.linalg.eigvals(
+        kerrcat.dynamics._parity_block(kerrcat.dynamics._System(cfg), dim,
+                                       True)[1])
+    want = -1.0 / lams[np.argmin(np.abs(lams))].real
+    assert kerrcat.dynamics._odd_sector_tx(cfg, dim) == pytest.approx(
+        want, rel=1e-9)
 
 
 def test_tx_lower_bound_flag():
