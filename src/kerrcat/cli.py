@@ -10,7 +10,8 @@ paths address nested keys).  A sweep takes a ``fixed`` table and one or two
 spectrum, also kappa and n_th for lindblad.  Every sweep table ends in an
 ``error`` column.  Exit codes: 0 success; 2 config error, found before any
 point is computed, with no file written: a ``fixed`` value outside the
-model's domain; a non-integer ``seed``, ``n_levels``, ``n_samples``,
+model's domain; ``axes`` that is not a list, or a ``state`` or ``grid``
+that is not a table; a non-integer ``seed``, ``n_levels``, ``n_samples``,
 ``state.eigen``, ``state.pair`` or ``grid.points``; ``n_levels`` < 1,
 ``n_samples`` < 2 or ``grid.points`` < 2; ``state.eigen`` outside [0, dim)
 or ``state.pair`` outside [0, dim // 2); a ``state.localized`` other than
@@ -108,8 +109,9 @@ def _axis_values(axis: dict, allowed) -> np.ndarray:
 def _grid(cfg: dict, axes):
     """(names, points) of the config's swept axes, each named in ``axes``."""
     specs = cfg.get("axes")
-    if not specs:
-        raise ConfigError("config needs an 'axes' list with 1 or 2 entries")
+    if not isinstance(specs, list) or not specs:
+        raise ConfigError("config needs an 'axes' list with 1 or 2 entries, "
+                          f"got {specs!r}")
     if len(specs) > 2:
         raise ConfigError("at most two swept axes are supported")
     values = [_axis_values(ax, axes) for ax in specs]
@@ -243,12 +245,15 @@ def cmd_spectrum(cfg: dict, args) -> SweepResult:
 
 def cmd_wigner(cfg: dict, args):
     sel = cfg.get("state", {"eigen": 0})
-    if "eigen" not in sel and sel.get("localized") not in ("right", "left"):
-        raise ConfigError("state must specify 'eigen', or 'localized' as right "
-                          f"or left, got {sel!r}")
+    if not isinstance(sel, dict) or ("eigen" not in sel and sel.get(
+            "localized") not in ("right", "left")):
+        raise ConfigError("state must be a table with 'eigen', or 'localized' "
+                          f"as right or left, got {sel!r}")
     key = "eigen" if "eigen" in sel else "pair"
     index = _int_setting(sel, key, 0)
     grid_cfg = cfg.get("grid", {})
+    if not isinstance(grid_cfg, dict):
+        raise ConfigError(f"grid must be a table, got {grid_cfg!r}")
     points = _int_setting(grid_cfg, "points", 201, low=2)
     extent = grid_cfg.get("extent")
     if extent is not None and not (type(extent) in (int, float)

@@ -17,12 +17,14 @@ route, and one observer samples them all:
 
 Photon parity is a weak symmetry of the Lindbladian: it couples no element
 rho_mn with m + n even to one with m + n odd (in the eigenbasis of H, none
-with equal parities i, j to one with opposite ones), so ``expm`` builds its
-reduced Liouvillian only as these two blocks.  ``tx_lifetime`` does not step
-in time: T_X = -1 / Re lambda_1, lambda_1 the eigenvalue nearest 0 of the
-sparse Fock-basis Liouvillian on the sector m + n odd, where the well signal
-lives; H is never diagonalised.  T_X at dim and dim + 12 must agree to 1e-6
-relative, else ``TruncationRiskError``: this certifies the truncation.
+with equal parities i, j to one with opposite ones).  One builder,
+``_sector``, assembles the sparse Kronecker-form Liouvillian in a given basis
+and cuts one of these two sectors from it: ``expm`` takes both in the
+eigenbasis, ``tx_lifetime`` the odd one in the Fock basis.  ``tx_lifetime``
+does not step in time: T_X = -1 / Re lambda_1, lambda_1 the eigenvalue
+nearest 0 of the sector m + n odd, where the well signal lives; H is never
+diagonalised.  T_X at dim and dim + 12 must agree to 1e-6 relative, else
+``TruncationRiskError``: this certifies the truncation.
 ``rank``, ``initial_state``, ``n_samples``, ``n_pairs`` and ``method`` do
 not enter T_X.
 """
@@ -138,12 +140,10 @@ class _System:
         # -(1/2) sum rate O^dag O of the effective drift -iH + damping
         self.rates, self.jump_scaled = [], []
         self.damping = np.zeros((self.dim, self.dim))
-        for rate, op in ((cfg.kappa * (1.0 + cfg.n_th), self.a),
-                         (cfg.kappa * cfg.n_th, self.a.T)):
-            if rate > 0:
-                self.rates.append(rate)
-                self.damping -= 0.5 * rate * (op.T @ op)
-                self.jump_scaled.append((np.sqrt(rate) * op).astype(complex))
+        for rate, op in _jumps(cfg, self.a):
+            self.rates.append(rate)
+            self.damping -= 0.5 * rate * (op.T @ op)
+            self.jump_scaled.append((np.sqrt(rate) * op).astype(complex))
         self.h_eff = -1j * self.h + self.damping
 
     @cached_property
@@ -266,7 +266,7 @@ def _run(sys: _System, state, step, per: int = 1, ops=None):
     """
     ops = sys.ops if ops is None else ops
     n = sys.cfg.n_samples
-    dt = sys.cfg.t_final / (per * max(n - 1, 1))
+    dt = sys.cfg.t_final / (per * (n - 1))
     rows = [_observe(state, ops)]
     for i in range(n - 1):
         for j in range(per):
@@ -293,7 +293,7 @@ def _step_controlled(sys: _System, state0, step, dt, method) -> Trajectory:
     """Run ``step`` from ``state0`` through ``_run`` with the fewest equal
     substeps per sample interval no longer than dt, halving dt until the
     trace drift stays below 1e-7 and two successive runs agree to 1e-6."""
-    m = max(sys.cfg.n_samples - 1, 1)
+    m = sys.cfg.n_samples - 1
     prev = None
     for halving in range(13):
         per = max(int(np.ceil(sys.cfg.t_final / (dt * m))), 1)
@@ -329,46 +329,35 @@ def _rk4_step(sys: _System, drift):
     return step
 
 
-def _liouvillian_entries(sys: _System, rank: int, rows, cols) -> np.ndarray:
-    """Elements L[(i, j), (k, l)] of the Liouvillian projected onto the top
-    ``rank`` eigenvectors of H (acting on row-major flattened rho) for the
-    index pairs ``rows`` = (i, j) and ``cols`` = (k, l).
+def _jumps(cfg: LindbladConfig, a: np.ndarray) -> list:
+    """(rate, jump) pairs of the thermal dissipator with a nonzero rate:
+    loss ``a`` at kappa (1 + n_th) and gain a^dag at kappa n_th."""
+    return [(rate, op) for rate, op in ((cfg.kappa * (1 + cfg.n_th), a),
+                                        (cfg.kappa * cfg.n_th, a.conj().T))
+            if rate > 0]
 
-    Each element is computed as in the Kronecker form
-    kron(A, B)[(i, j), (k, l)] = A[i, k] B[j, l], in the same order, so any
-    block equals the same block of the Kronecker-form matrix bit for bit.
-    """
-    cfg = sys.cfg
-    vr = sys.es.eigenvectors[:, :rank]
-    e_r = sys.es.eigenvalues[:rank]
-    a_r = vr.conj().T @ sys.a @ vr
-    (i, j), (k, l) = rows, cols
+
+def _sector(h: np.ndarray, a: np.ndarray, cfg: LindbladConfig, par, odd: bool):
+    """Index pairs (i, j) with parities par_i != par_j (``odd``) or
+    par_i == par_j, in row-major order, and the CSR block over them of the
+    Liouvillian in the basis where H is ``h`` and the loss jump is ``a``
+    (row-major rho, vec(A rho B) = kron(A, B^T) vec rho).  Parity is a weak
+    symmetry, so the two sectors are the whole Liouvillian: it couples no
+    even pair to an odd one."""
+    eye = sp.identity(len(h), format="csr")
 
     def kron(x, y):
-        return x[i][:, k] * y[j][:, l]
+        return sp.kron(x, y, format="csr")
 
-    eye = np.eye(len(e_r))
-    e_d = np.diag(e_r)
-    liou = (-1j * (kron(e_d, eye) - kron(eye, e_d))).astype(complex)
-    for rate, op in ((cfg.kappa * (1 + cfg.n_th), a_r),
-                     (cfg.kappa * cfg.n_th, a_r.conj().T)):
-        if rate > 0:
-            od_o = op.conj().T @ op
-            liou += rate * (kron(op, op.conj())
-                            - 0.5 * kron(od_o, eye)
-                            - 0.5 * kron(eye, od_o.T))
-    return liou
-
-
-def _parity_block(sys: _System, rank: int, odd: bool):
-    """Index pairs (i, j) of the top ``rank`` eigenvectors of H with parities
-    i != j (``odd``) or i == j, in row-major order, and the block of the
-    reduced Liouvillian over them.  Parity is a weak symmetry, so the two
-    blocks are the whole Liouvillian: it couples no even pair to an odd one.
-    """
-    par = sys.es.parities[:rank]
+    liou = -1j * (kron(h, eye) - kron(eye, h.T))
+    for rate, op in _jumps(cfg, a):
+        od_o = op.conj().T @ op
+        liou = liou + rate * (kron(op, op.conj())
+                              - 0.5 * kron(od_o, eye)
+                              - 0.5 * kron(eye, od_o.T))
     pairs = np.nonzero((par[:, None] != par[None, :]) == odd)
-    return pairs, _liouvillian_entries(sys, rank, pairs, pairs)
+    index = np.ravel_multi_index(pairs, (len(par), len(par)))
+    return pairs, liou[index][:, index]
 
 
 def _evolve_expm(sys: _System) -> Trajectory:
@@ -386,8 +375,11 @@ def _evolve_expm(sys: _System) -> Trajectory:
         rho0_r = vr.conj().T @ rho0 @ vr
         full = rank >= sys.dim
         if full or abs(1.0 - float(np.real(np.trace(rho0_r))) / tr0) < 1e-6:
-            props = [(pairs, sla.expm(liou * tau)) for pairs, liou in
-                     (_parity_block(sys, rank, odd) for odd in (False, True))]
+            h_r = np.diag(sys.es.eigenvalues[:rank])
+            a_r = vr.conj().T @ sys.a @ vr
+            props = [(pairs, sla.expm(block.toarray() * tau)) for pairs, block
+                     in (_sector(h_r, a_r, sys.cfg, sys.es.parities[:rank], odd)
+                         for odd in (False, True))]
 
             def step(rho, t, dt):
                 for pairs, prop in props:
@@ -488,25 +480,12 @@ def tx_lifetime(cfg: LindbladConfig) -> TxEstimate:
 
 
 def _odd_sector_tx(cfg: LindbladConfig, dim: int) -> float:
-    """-1 / Re lambda_1 of the Liouvillian in the Fock basis at ``dim``
-    (row-major rho, vec(A rho B) = kron(A, B^T) vec rho), lambda_1 the
-    eigenvalue nearest 0 of the sector rho_mn with m + n odd: one sparse
-    shift-invert solve."""
-    h = sp.csr_matrix(build_hamiltonian(cfg.params.with_(dim=dim)))
-    a = sp.csr_matrix(annihilation(dim))
-    eye = sp.identity(dim, format="csr")
-    liou = -1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
-    for rate, op in ((cfg.kappa * (1 + cfg.n_th), a),
-                     (cfg.kappa * cfg.n_th, a.T)):
-        if rate > 0:
-            od_o = op.conj().T @ op
-            liou = liou + rate * (sp.kron(op, op.conj())
-                                  - 0.5 * sp.kron(od_o, eye)
-                                  - 0.5 * sp.kron(eye, od_o.T))
-    n = np.arange(dim)
-    odd = np.flatnonzero((n[:, None] + n[None, :]) % 2)
-    block = sp.csr_matrix(liou)[odd][:, odd].tocsc()
-    lam = spla.eigs(block, k=1, sigma=0, v0=np.ones(len(odd)),
+    """-1 / Re lambda_1, lambda_1 the eigenvalue nearest 0 of the Fock-basis
+    Liouvillian at ``dim`` on its ``_sector`` rho_mn with m + n odd: one
+    sparse shift-invert solve."""
+    h = build_hamiltonian(cfg.params.with_(dim=dim))
+    block = _sector(h, annihilation(dim), cfg, np.arange(dim) % 2, True)[1].tocsc()
+    lam = spla.eigs(block, k=1, sigma=0, v0=np.ones(block.shape[0]),
                     return_eigenvectors=False)[0]
     return -1.0 / lam.real
 

@@ -22,10 +22,7 @@ def format_sig(x) -> str:
         return str(bool(x))
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    xf = float(x)
-    if np.isnan(xf):
-        return "nan"
-    return f"{xf:.{SIG_DIGITS}g}"
+    return f"{float(x):.{SIG_DIGITS}g}"
 
 
 @dataclass

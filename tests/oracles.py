@@ -6,9 +6,9 @@ LAPACK, Wigner values via the position-basis quadrature integral instead of
 displaced parity, separatrix areas via adaptive quadrature instead of the
 closed forms, and the exact phase-space algebra as the literal
 bidifferential series built from polynomial derivatives and pointwise
-products instead of the per-monomial-pair kernel.  The reduced Liouvillian
-is written with ``np.kron`` instead of the entry-wise builder over index
-pairs, in the same order of operations, so the two agree bit for bit.
+products instead of the per-monomial-pair kernel.  The Liouvillian is
+written with dense ``np.kron`` instead of the sparse sector builder, in the
+same order of operations, so the two agree bit for bit.
 Opposite-parity pairs come from a greedy search over the parity sequence
 instead of indexing the even and odd states.
 """
@@ -156,12 +156,12 @@ def exp_mixed_deriv_series(f, re, im=0):
     return out
 
 
-def kron_liouvillian(e_r, a_r, kappa, n_th):
-    """Thermal Liouvillian in an eigenbasis (energies ``e_r``, annihilator
-    ``a_r``) acting on row-major flattened rho, written with ``np.kron``."""
-    eye = np.eye(len(e_r))
-    liou = (-1j * (np.kron(np.diag(e_r), eye)
-                   - np.kron(eye, np.diag(e_r)))).astype(complex)
+def kron_liouvillian(h, a_r, kappa, n_th):
+    """Thermal Liouvillian in the basis where H is the matrix ``h`` and the
+    annihilator is ``a_r``, acting on row-major flattened rho, written with
+    ``np.kron``."""
+    eye = np.eye(len(h))
+    liou = (-1j * (np.kron(h, eye) - np.kron(eye, h.T))).astype(complex)
     for rate, op in ((kappa * (1 + n_th), a_r), (kappa * n_th, a_r.conj().T)):
         if rate > 0:
             od_o = op.conj().T @ op

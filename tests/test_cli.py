@@ -480,6 +480,20 @@ def test_bad_wigner_state_or_extent_is_a_config_error(tmp_path, monkeypatch,
     assert rc == 2 and not out.exists() and calls == []
 
 
+@pytest.mark.parametrize("command, override", [
+    ("wigner", "state=3"), ("wigner", "state=right"), ("wigner", "grid=3"),
+    ("splitting", "axes=3")])
+def test_config_value_of_the_wrong_shape_is_a_config_error(tmp_path, command,
+                                                           override):
+    # a state or grid that is not a table, or axes that is not a list
+    cfg = {"fixed": {"delta": 1.0, "eps2": 1.0, "dim": 20},
+           "axes": [{"name": "eps2", "start": 0.5, "stop": 1.0, "count": 2}]}
+    out = tmp_path / "t.csv"
+    rc = cli.main([command, "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(out), "--set", override])
+    assert rc == 2 and not out.exists()
+
+
 @pytest.mark.parametrize("n_samples", [1, 0, -3])
 def test_trajectory_with_fewer_than_two_samples_is_a_config_error(
         tmp_path, monkeypatch, n_samples):

@@ -12,7 +12,8 @@ from kerrcat.dynamics import (LindbladConfig, RampProtocol, RampSegment,
                               lindblad_rhs, rabi_map, run_protocol,
                               tx_lifetime, well_projectors, well_signal)
 from kerrcat.errors import IntegrationError, TruncationRiskError
-from kerrcat.fock import HamiltonianParams, build_hamiltonian, parity_operator
+from kerrcat.fock import (HamiltonianParams, annihilation, build_hamiltonian,
+                          parity_operator)
 from kerrcat.spectra import eigensystem, localized_pair, tunnel_splitting
 
 from oracles import kron_liouvillian
@@ -20,6 +21,15 @@ from oracles import kron_liouvillian
 
 def cfg_of(p, **kw):
     return LindbladConfig(params=p, **kw)
+
+
+def eigen_sector(sys, rank, odd):
+    """``_sector`` in the top ``rank`` eigenvectors of H: (pairs, dense block)."""
+    vr = sys.es.eigenvectors[:, :rank]
+    pairs, block = kerrcat.dynamics._sector(
+        np.diag(sys.es.eigenvalues[:rank]), vr.conj().T @ sys.a @ vr, sys.cfg,
+        sys.es.parities[:rank], odd)
+    return pairs, block.toarray()
 
 
 # -- right-hand side -------------------------------------------------------------
@@ -344,8 +354,7 @@ def test_odd_sector_tx_matches_the_full_rank_eigenbasis_block(
     p = HamiltonianParams(delta=delta, eps2=eps2, eps4=eps4, dim=dim)
     cfg = cfg_of(p, kappa=kappa, n_th=n_th)
     lams = np.linalg.eigvals(
-        kerrcat.dynamics._parity_block(kerrcat.dynamics._System(cfg), dim,
-                                       True)[1])
+        eigen_sector(kerrcat.dynamics._System(cfg), dim, True)[1])
     want = -1.0 / lams[np.argmin(np.abs(lams))].real
     assert kerrcat.dynamics._odd_sector_tx(cfg, dim) == pytest.approx(
         want, rel=1e-9)
@@ -373,14 +382,13 @@ def test_tx_lower_bound_threshold_is_two_sided():
     assert not long.lower_bound and long.t_x == t_x
 
 
-def test_tx_rank_certificate_raises_a_too_small_rank():
-    # rank 4 holds rho(0) to 2e-13 but misses the gap (T_X 16766 before the
-    # rank r vs r + 12 check); the rank loop must raise it on its own
+def test_tx_does_not_depend_on_rank():
+    # the odd Fock sector spans the whole truncated space: rank 4, which
+    # once missed the gap (T_X 16766), gives the default rank's T_X exactly
     p = HamiltonianParams(delta=2.0, eps2=2.17, dim=60)
-    est = tx_lifetime(cfg_of(p, kappa=1 / 50, n_th=0.05, t_final=20000.0,
-                             rank=4))
-    assert est.rank > 4
-    assert est.trace_error < 1e-6
+    common = dict(kappa=1 / 50, n_th=0.05, t_final=20000.0)
+    est = tx_lifetime(cfg_of(p, **common, rank=4))
+    assert est.t_x == tx_lifetime(cfg_of(p, **common)).t_x
     assert est.t_x == pytest.approx(TX_GOLDEN_D2, rel=0.02)
 
 
@@ -407,7 +415,7 @@ def test_reduced_liouvillian_splits_by_parity(delta, eps2, kappa, n_th, rank):
     p = HamiltonianParams(delta=delta, eps2=eps2, dim=16)
     sys = kerrcat.dynamics._System(cfg_of(p, kappa=kappa, n_th=n_th))
     vr = sys.es.eigenvectors[:, :rank]
-    full = kron_liouvillian(sys.es.eigenvalues[:rank],
+    full = kron_liouvillian(np.diag(sys.es.eigenvalues[:rank]),
                             vr.conj().T @ sys.a @ vr, kappa, n_th)
     par = sys.es.parities[:rank]
     odd_pair = (par[:, None] != par[None, :]).ravel()
@@ -415,9 +423,33 @@ def test_reduced_liouvillian_splits_by_parity(delta, eps2, kappa, n_th, rank):
     assert np.all(full[np.ix_(even, odd)] == 0)
     assert np.all(full[np.ix_(odd, even)] == 0)
     for is_odd, index in ((False, even), (True, odd)):
-        pairs, block = kerrcat.dynamics._parity_block(sys, rank, is_odd)
+        pairs, block = eigen_sector(sys, rank, is_odd)
         assert np.array_equal(np.ravel_multi_index(pairs, (rank, rank)), index)
         assert block.tobytes() == full[np.ix_(index, index)].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(delta=st.floats(-2.0, 6.0), eps2=st.floats(0.0, 3.0),
+       eps4=st.one_of(st.just(0.0), st.floats(0.0, 0.2)),
+       kappa=st.floats(1e-3, 0.2),
+       n_th=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+       dim=st.integers(4, 12))
+def test_fock_sectors_match_the_kron_oracle(delta, eps2, eps4, kappa, n_th,
+                                            dim):
+    # the T_X basis: Fock states with parity n mod 2, so m + n odd or even
+    p = HamiltonianParams(delta=delta, eps2=eps2, eps4=eps4, dim=dim)
+    h, a = build_hamiltonian(p), annihilation(dim)
+    full = kron_liouvillian(h, a, kappa, n_th)
+    n = np.arange(dim)
+    odd_pair = ((n[:, None] + n[None, :]) % 2 == 1).ravel()
+    odd, even = np.flatnonzero(odd_pair), np.flatnonzero(~odd_pair)
+    assert np.all(full[np.ix_(even, odd)] == 0)
+    assert np.all(full[np.ix_(odd, even)] == 0)
+    for is_odd, index in ((False, even), (True, odd)):
+        pairs, block = kerrcat.dynamics._sector(
+            h, a, cfg_of(p, kappa=kappa, n_th=n_th), n % 2, is_odd)
+        assert np.array_equal(np.ravel_multi_index(pairs, (dim, dim)), index)
+        assert block.toarray().tobytes() == full[np.ix_(index, index)].tobytes()
 
 
 @pytest.mark.parametrize("rank", [1, 4, 10])
@@ -434,7 +466,7 @@ def test_expm_blocks_match_full_oracle_propagation(rank):
     traj = evolve(cfg_of(p, **common, method="expm", rank=rank,
                          initial_state=vr @ rho @ vr.conj().T))
     assert traj.meta["rank"] == rank
-    full = kron_liouvillian(sys.es.eigenvalues[:rank],
+    full = kron_liouvillian(np.diag(sys.es.eigenvalues[:rank]),
                             vr.conj().T @ sys.a @ vr, 0.05, 0.1)
     prop = expm(full * (traj.times[1] - traj.times[0]))
     ops = [vr.conj().T @ op @ vr for op in sys.ops]
