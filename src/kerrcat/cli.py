@@ -11,12 +11,14 @@ spectrum, also kappa and n_th for lindblad.  Every sweep table ends in an
 ``error`` column.  Exit codes: 0 success; 2 config error, found before any
 point is computed, with no file written: a ``fixed`` value outside the
 model's domain; ``axes`` that is not a list, or a ``state`` or ``grid``
-that is not a table; a non-integer ``seed``, ``n_levels``, ``n_samples``,
-``state.eigen``, ``state.pair`` or ``grid.points``; ``n_levels`` < 1,
-``n_samples`` < 2 or ``grid.points`` < 2; ``state.eigen`` outside [0, dim)
-or ``state.pair`` outside [0, dim // 2); a ``state.localized`` other than
-right or left; a ``grid.extent`` that is not a positive finite number; a
-trajectory ``initial_state`` other than right_well, left_well or vacuum.
+that is not a table; a non-integer ``fixed.dim``, axis ``count``, ``seed``,
+``n_levels``, ``n_samples``, ``state.eigen``, ``state.pair`` or
+``grid.points``; an axis ``count`` < 2, ``n_levels`` < 1, ``n_samples`` < 2
+or ``grid.points`` < 2; ``state.eigen`` outside [0, dim) or ``state.pair``
+outside [0, dim // 2); a ``state.localized`` other than right or left; a
+``grid.extent`` that is not a positive finite number; a trajectory
+``initial_state`` other than right_well, left_well or vacuum; a
+``calibrate`` input that is not finite, or ``--eps-x`` or ``--kerr`` <= 0.
 3 numeric failure: a point that raises becomes one row with its parameter
 cells, empty result cells and the exception class in ``error``; the table
 is still written.  KERRCAT_THREADS overrides the worker count.
@@ -37,7 +39,7 @@ from . import dynamics, semiclassical, spectra
 from .fock import HamiltonianParams, build_hamiltonian
 from .phasespace import wigner_function
 from .spectra import eigensystem, localized_pair
-from .tables import SweepResult
+from .tables import SweepResult, write_json
 
 SPLITTING_COLUMNS = ["delta", "eps2", "abs_de", "de_signed", "de_wkb",
                      "n_ebk", "barrier", "area", "phase"]
@@ -89,11 +91,11 @@ def _axis_values(axis: dict, allowed) -> np.ndarray:
     try:
         name = axis["name"]
         start, stop = float(axis["start"]), float(axis["stop"])
-        count = int(axis["count"])
+        count = _int_setting(axis, "count", low=2)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad axis spec {axis!r}: {exc}") from exc
-    if count < 2:
-        raise ConfigError("axis count must be >= 2")
+    if count is None:
+        raise ConfigError(f"bad axis spec {axis!r}: no count")
     if name not in allowed:
         raise ConfigError(f"axis {name!r} is not one of {', '.join(allowed)}")
     scale = axis.get("scale", "linear")
@@ -133,7 +135,7 @@ def _params(cfg: dict, **over) -> HamiltonianParams:
             kerr=float(fixed.get("kerr", 1.0)),
             eps2=float(fixed.get("eps2", 0.0)),
             eps4=float(fixed.get("eps4", 0.0)),
-            dim=int(fixed.get("dim", 0)),
+            dim=_int_setting(fixed, "dim", 0),
         )
     except (TypeError, ValueError) as exc:
         if over:
@@ -312,8 +314,8 @@ def cmd_lindblad(cfg: dict, args) -> SweepResult:
 
 def cmd_calibrate(args) -> dict:
     omega_x, eps_x, kerr = args.omega_x, args.eps_x, args.kerr
-    if eps_x <= 0:
-        raise ConfigError("eps-x must be positive")
+    if not (np.isfinite(omega_x) and 0 < eps_x < np.inf and 0 < kerr < np.inf):
+        raise ConfigError("omega-x must be finite, eps-x and kerr positive and finite")
     alpha0_sq = omega_x**2 / (16.0 * eps_x**2)
     report = {
         "omega_x": omega_x,
@@ -367,12 +369,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "calibrate":
             report = cmd_calibrate(args)
-            text = json.dumps(report, indent=1)
             if args.out == "-":
-                print(text)
+                print(json.dumps(report, indent=1))
             else:
-                with open(args.out, "w") as f:
-                    f.write(text + "\n")
+                write_json(args.out, report, indent=1)
             return 0
         cfg = load_config(args.config, args.overrides)
         table = _COMMANDS[args.command](cfg, args)

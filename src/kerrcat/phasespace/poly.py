@@ -86,16 +86,8 @@ class PhaseSpacePolynomial:
         return self + other.scale(-1)
 
     def __mul__(self, other):
-        """Commutative pointwise product."""
-        self._check(other)
-        two_lam = 2 * self.lam
-        terms = {}
-        for (j1, k1), c1 in self.terms.items():
-            for (j2, k2), c2 in other.terms.items():
-                key = (j1 + j2, k1 + k2)
-                prod = c1.mul(c2, two_lam)
-                terms[key] = terms.get(key, Coeff()) + prod
-        return PhaseSpacePolynomial(self.basis, terms, self.lam)
+        """Commutative pointwise product: the order-0 star term."""
+        return _star_orders(self, other, 0, 0)
 
     def scale(self, re, im=0):
         return PhaseSpacePolynomial(

@@ -4,14 +4,15 @@ W(x, p) = (1/pi) <psi| D(alpha) Pi D(alpha)^dag |psi> with
 alpha = (x + i p)/sqrt(2), which equals (1/pi) <psi| D(2 alpha) Pi |psi>
 because D(+alpha) Pi = Pi D(-alpha).  The grid evaluator expands the
 displacement matrix elements in scaled generalized-Laguerre functions and
-runs the three-term recurrence over whole grid arrays, so there is no
-quadrature error and no matrix exponential per point; the direct
-matrix-exponential evaluation is kept for point-wise cross checks.
+runs one three-term recurrence over whole grid arrays for every Fock-index
+offset d, started from G_{-1} = 0, so there is no quadrature error and no
+matrix exponential per point; the direct matrix-exponential evaluation is
+kept for point-wise cross checks.  Grids are written through
+:mod:`kerrcat.tables`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from scipy.special import gammaln
 
 from ..errors import TruncationRiskError
 from ..fock import displacement_operator, parity_operator
+from ..tables import write_csv, write_json
 
 __all__ = ["WignerGrid", "wigner_function", "displaced_parity_point",
            "default_extent"]
@@ -41,24 +43,21 @@ class WignerGrid:
         return float(2 * np.pi * (self.values**2).sum() * self.cell_area)
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write("x,p,w\n")
-            for i, xv in enumerate(self.x):
-                for j, pv in enumerate(self.p):
-                    f.write(f"{xv:.12g},{pv:.12g},{self.values[i, j]:.12g}\n")
+        p = self.p.tolist()
+        write_csv(path, ["x", "p", "w"],
+                  ((xv, pv, w) for xv, row in zip(self.x.tolist(),
+                                                  self.values.tolist())
+                   for pv, w in zip(p, row)))
 
     def to_json(self, path) -> None:
-        payload = {
+        write_json(path, {
             "x": {"start": float(self.x[0]), "stop": float(self.x[-1]),
                   "count": int(len(self.x))},
             "p": {"start": float(self.p[0]), "stop": float(self.p[-1]),
                   "count": int(len(self.p))},
             "cell_area": self.cell_area,
             "values": self.values.tolist(),
-        }
-        with open(path, "w") as f:
-            json.dump(payload, f)
-            f.write("\n")
+        })
 
 
 def default_extent(state: np.ndarray) -> float:
@@ -105,6 +104,9 @@ def _wigner_laguerre(state: np.ndarray, xg: np.ndarray, pg: np.ndarray) -> np.nd
     contributes 2 Re(gamma^d) sum_m c_m G_m^(d)(u) with u = |gamma|^2,
     gamma = 2 alpha, and G the Laguerre functions scaled by
     sqrt(m!/(m+d)!) u^{d/2} e^{-u/2} so every intermediate stays bounded by 1.
+    Each diagonal runs the recurrence from G_{-1} = 0 and G_0; a diagonal
+    whose coefficients all lie below 1e-18 is skipped (every odd d of a
+    parity eigenstate).
     """
     dim = len(state)
     psi = state.astype(complex)
@@ -118,24 +120,15 @@ def _wigner_laguerre(state: np.ndarray, xg: np.ndarray, pg: np.ndarray) -> np.nd
         cvec = np.conj(psi[d:]) * psi[:dim - d] * sgn[:dim - d]
         if np.max(np.abs(cvec)) < 1e-18:
             continue
-        if d == 0:
-            g_prev = np.exp(-u / 2)
-        else:
-            g_prev = np.exp(-u / 2 + 0.5 * d * logu - 0.5 * gammaln(d + 1))
-        acc = cvec[0] * g_prev
-        if dim - d > 1:
-            g = g_prev * (1 + d - u) / np.sqrt(1.0 + d)
-            acc = acc + cvec[1] * g
-            for m in range(2, dim - d):
-                g_next = ((2 * m - 1 + d - u) * g
-                          - np.sqrt((m - 1) * (m + d - 1)) * g_prev) \
-                    / np.sqrt(m * (m + d))
-                g_prev, g = g, g_next
-                acc = acc + cvec[m] * g
-        if d == 0:
-            out += np.real(acc)
-        else:
-            out += 2.0 * np.real(acc * np.exp(1j * d * phi))
+        g_prev = 0.0
+        g = np.exp(-u / 2 + (0.5 * d * logu if d else 0.0) - 0.5 * gammaln(d + 1))
+        acc = cvec[0] * g
+        for m in range(1, dim - d):
+            g_prev, g = g, ((2 * m - 1 + d - u) * g
+                            - np.sqrt((m - 1) * (m + d - 1)) * g_prev) \
+                / np.sqrt(m * (m + d))
+            acc = acc + cvec[m] * g
+        out += (2.0 if d else 1.0) * np.real(acc * np.exp(1j * d * phi))
     return out / np.pi
 
 

@@ -1,4 +1,8 @@
-"""Small tabular record set used by sweeps and the CLI."""
+"""Tables and the one CSV/JSON writer of the package.
+
+Every file kerrcat writes goes through :func:`write_csv` or
+:func:`write_json`; :func:`format_sig` decides every CSV cell.
+"""
 
 from __future__ import annotations
 
@@ -7,13 +11,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["SweepResult", "format_sig"]
+__all__ = ["SweepResult", "format_sig", "write_csv", "write_json"]
 
 SIG_DIGITS = 12
+_SPEC = f".{SIG_DIGITS}g"
 
 
 def format_sig(x) -> str:
     """Render a cell with 12 significant digits (golden-file stable)."""
+    if isinstance(x, float):
+        return f"{x:{_SPEC}}"
     if x is None:
         return ""
     if isinstance(x, str):
@@ -22,7 +29,21 @@ def format_sig(x) -> str:
         return str(bool(x))
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    return f"{float(x):.{SIG_DIGITS}g}"
+    return f"{float(x):{_SPEC}}"
+
+
+def write_csv(path, columns, rows) -> None:
+    """Header line, then one line per row with every cell through format_sig."""
+    with open(path, "w") as f:
+        f.write(",".join(columns) + "\n")
+        for row in rows:
+            f.write(",".join(map(format_sig, row)) + "\n")
+
+
+def write_json(path, payload, indent=None) -> None:
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=indent, default=float)
+        f.write("\n")
 
 
 @dataclass
@@ -43,18 +64,12 @@ class SweepResult:
         return np.array([r[i] for r in self.rows])
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as f:
-            f.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                f.write(",".join(format_sig(v) for v in row) + "\n")
+        write_csv(path, self.columns, self.rows)
 
     def to_json(self, path) -> None:
-        payload = {
+        write_json(path, {
             "columns": list(self.columns),
             "rows": [[None if (isinstance(v, float) and np.isnan(v)) else v for v in row]
                      for row in self.rows],
             "meta": self.meta,
-        }
-        with open(path, "w") as f:
-            json.dump(payload, f, indent=1, default=float)
-            f.write("\n")
+        }, indent=1)

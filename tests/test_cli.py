@@ -549,3 +549,35 @@ def test_sweep_bytes_do_not_depend_on_worker_count(tmp_path_factory, data):
                           name=f"{command}-{n}.csv") for n in (1, k)]
         assert outs[0][0] == outs[1][0]
         assert outs[0][1].read_bytes() == outs[1][1].read_bytes()
+
+
+
+@pytest.mark.parametrize("flags", [["--omega-x", "nan", "--eps-x", "1.0"],
+                                   ["--omega-x", "4.0", "--eps-x", "inf"],
+                                   ["--omega-x", "4.0", "--eps-x", "1.0",
+                                    "--kerr=-inf"],
+                                   ["--omega-x", "4.0", "--eps-x", "1.0",
+                                    "--kerr", "-1"],
+                                   ["--omega-x", "4.0", "--eps-x", "1.0",
+                                    "--kerr", "0"]])
+def test_calibrate_rejects_non_finite_or_non_positive_inputs(tmp_path, flags):
+    # JSON has no NaN or Infinity, and a Kerr <= 0 gives no cat
+    out = tmp_path / "cal.json"
+    assert cli.main(["calibrate", *flags, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, dim, count", [("splitting", 20.9, 3),
+                                                 ("splitting", 20, 3.7),
+                                                 ("wigner", 20.9, 3)])
+def test_fractional_dim_or_count_is_a_config_error(tmp_path, command, dim,
+                                                   count):
+    # neither is truncated to an integer
+    cfg = {"fixed": {"delta": 1.0, "eps2": 0.5, "dim": dim},
+           "axes": [{"name": "delta", "start": 0.5, "stop": 2.0,
+                     "count": count}],
+           "grid": {"points": 11}}
+    out = tmp_path / "t.csv"
+    rc = cli.main([command, "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(out)])
+    assert rc == 2 and not out.exists()

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from kerrcat.errors import TruncationRiskError
 from kerrcat.fock import HamiltonianParams, build_hamiltonian
@@ -133,3 +134,42 @@ def test_custom_grid():
     wg = wigner_function(fock_state(0, 20), x=xg, p=pg)
     assert wg.values.shape == (31, 17)
     assert isinstance(wg, WignerGrid)
+
+
+def test_complex_coherent_state_matches_point_evaluations():
+    # a complex state exercises the acc * e^{i d phi} phase of every diagonal
+    alpha, dim = 1.2 + 0.5j, 40
+    n = np.arange(dim)
+    state = np.exp(-abs(alpha) ** 2 / 2 + n * np.log(alpha)
+                   - 0.5 * gammaln(n + 1))
+    state /= np.linalg.norm(state)
+    wg = wigner_function(state, points=41, extent=6.0)
+    mid = 20
+    assert wg.x[mid] == wg.p[mid] == 0.0
+    padded = np.concatenate([state, np.zeros(160)])
+    rng = np.random.default_rng(5)
+    cells = [(mid, mid), (mid, 7), (mid, 33), (4, mid), (29, mid),
+             *zip(rng.integers(0, 41, 12).tolist(),
+                  rng.integers(0, 41, 12).tolist())]
+    for i, j in cells:
+        direct = displaced_parity_point(padded, wg.x[i], wg.p[j])
+        assert wg.values[i, j] == pytest.approx(direct, abs=1e-9)
+    # the Gaussian centred on (sqrt 2 Re alpha, sqrt 2 Im alpha)
+    centre = np.sqrt(2.0) * np.array([alpha.real, alpha.imag])
+    for i, j in cells:
+        r2 = (wg.x[i] - centre[0]) ** 2 + (wg.p[j] - centre[1]) ** 2
+        assert wg.values[i, j] == pytest.approx(np.exp(-r2) / np.pi, abs=1e-9)
+
+
+def test_csv_bytes_are_twelve_significant_digits(tmp_path):
+    x = np.linspace(-1.0, 1.0, 5)
+    p = np.array([-0.25, 1.0 / 3.0, 2.5e-7])
+    values = np.arange(15.0).reshape(5, 3) / 7.0 - 1.0
+    values[2, 1] = -0.0
+    wg = WignerGrid(x, p, values, float((x[1] - x[0]) * (p[1] - p[0])))
+    path = tmp_path / "w.csv"
+    wg.to_csv(path)
+    expected = "x,p,w\n" + "".join(
+        f"{x[i]:.12g},{p[j]:.12g},{values[i, j]:.12g}\n"
+        for i in range(5) for j in range(3))
+    assert path.read_text() == expected
