@@ -98,6 +98,8 @@ def _axis_values(axis: dict, allowed) -> np.ndarray:
         raise ConfigError(f"bad axis spec {axis!r}: no count")
     if name not in allowed:
         raise ConfigError(f"axis {name!r} is not one of {', '.join(allowed)}")
+    if not (np.isfinite(start) and np.isfinite(stop)):
+        raise ConfigError(f"bad axis spec {axis!r}: bounds must be finite")
     scale = axis.get("scale", "linear")
     if scale == "log":
         if start <= 0 or stop <= 0:

@@ -4,11 +4,12 @@ W(x, p) = (1/pi) <psi| D(alpha) Pi D(alpha)^dag |psi> with
 alpha = (x + i p)/sqrt(2), which equals (1/pi) <psi| D(2 alpha) Pi |psi>
 because D(+alpha) Pi = Pi D(-alpha).  The grid evaluator expands the
 displacement matrix elements in scaled generalized-Laguerre functions and
-runs one three-term recurrence over whole grid arrays for every Fock-index
-offset d, started from G_{-1} = 0, so there is no quadrature error and no
-matrix exponential per point; the direct matrix-exponential evaluation is
-kept for point-wise cross checks.  Grids are written through
-:mod:`kerrcat.tables`.
+runs one three-term recurrence for every Fock-index offset d, started from
+G_{-1} = 0, over the grid's distinct values of u = 2(x^2 + p^2) only; the
+sums are scattered back onto the grid for the angular factor e^{i d phi}.
+There is no quadrature error and no matrix exponential per point; the
+direct matrix-exponential evaluation is kept for point-wise cross checks.
+Grids are written through :mod:`kerrcat.tables`.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ def wigner_function(state: np.ndarray, x: np.ndarray | None = None,
     """Wigner function of a normalized state vector on a uniform grid.
 
     The default grid is ``points`` x ``points`` over [-extent, extent] in both
-    quadratures with the :func:`default_extent` rule.
+    quadratures with the :func:`default_extent` rule.  A custom grid gives
+    both ``x`` and ``p``; giving only one of them raises ``ValueError``.
     """
     state = np.asarray(state)
     norm = np.linalg.norm(state)
@@ -86,7 +88,9 @@ def wigner_function(state: np.ndarray, x: np.ndarray | None = None,
     if not _support_ok(state):
         raise TruncationRiskError(
             "state has significant weight near the Fock truncation edge")
-    if x is None or p is None:
+    if (x is None) != (p is None):
+        raise ValueError("give both x and p for a custom grid, or neither")
+    if x is None:
         ext = extent if extent is not None else default_extent(state)
         x = np.linspace(-ext, ext, points)
         p = np.linspace(-ext, ext, points)
@@ -104,31 +108,44 @@ def _wigner_laguerre(state: np.ndarray, xg: np.ndarray, pg: np.ndarray) -> np.nd
     contributes 2 Re(gamma^d) sum_m c_m G_m^(d)(u) with u = |gamma|^2,
     gamma = 2 alpha, and G the Laguerre functions scaled by
     sqrt(m!/(m+d)!) u^{d/2} e^{-u/2} so every intermediate stays bounded by 1.
-    Each diagonal runs the recurrence from G_{-1} = 0 and G_0; a diagonal
-    whose coefficients all lie below 1e-18 is skipped (every odd d of a
-    parity eigenstate).
+    The sum depends on the grid point only through u, so each diagonal runs
+    the recurrence from G_{-1} = 0 and G_0 once over the grid's distinct
+    values of u, in place, and the sum is scattered back onto the grid for
+    the angular factor; the sum is real when the diagonal's coefficients
+    are.  A diagonal whose coefficients all lie below 1e-18 is skipped
+    (every odd d of a parity eigenstate).
     """
     dim = len(state)
     psi = state.astype(complex)
     Xm, Pm = np.meshgrid(xg, pg, indexing="ij")
     u = 2.0 * (Xm**2 + Pm**2)
     phi = np.arctan2(Pm, Xm)
+    uu, inv = np.unique(u, return_inverse=True)
+    inv = inv.reshape(u.shape)
     sgn = (-1.0) ** np.arange(dim)
     out = np.zeros_like(u)
-    logu = np.log(u, out=np.full_like(u, -np.inf), where=u > 0)
+    logu = np.log(uu, out=np.full_like(uu, -np.inf), where=uu > 0)
     for d in range(dim):
         cvec = np.conj(psi[d:]) * psi[:dim - d] * sgn[:dim - d]
         if np.max(np.abs(cvec)) < 1e-18:
             continue
-        g_prev = 0.0
-        g = np.exp(-u / 2 + (0.5 * d * logu if d else 0.0) - 0.5 * gammaln(d + 1))
-        acc = cvec[0] * g
+        c = cvec if cvec.imag.any() else cvec.real
+        g_prev = np.zeros_like(uu)
+        g = np.exp(-uu / 2 + (0.5 * d * logu if d else 0.0) - 0.5 * gammaln(d + 1))
+        nxt = np.empty_like(uu)
+        acc = c[0] * g
+        term = np.empty_like(acc)
         for m in range(1, dim - d):
-            g_prev, g = g, ((2 * m - 1 + d - u) * g
-                            - np.sqrt((m - 1) * (m + d - 1)) * g_prev) \
-                / np.sqrt(m * (m + d))
-            acc = acc + cvec[m] * g
-        out += (2.0 if d else 1.0) * np.real(acc * np.exp(1j * d * phi))
+            # ((k - u) g - s g_prev) / s' in this operation order, in place,
+            # so every value rounds as the plain expression does
+            np.subtract(2 * m - 1 + d, uu, out=nxt)
+            nxt *= g
+            g_prev *= np.sqrt((m - 1) * (m + d - 1))
+            nxt -= g_prev
+            nxt /= np.sqrt(m * (m + d))
+            g_prev, g, nxt = g, nxt, g_prev
+            acc += np.multiply(c[m], g, out=term)
+        out += (2.0 if d else 1.0) * np.real(acc[inv] * np.exp(1j * d * phi))
     return out / np.pi
 
 

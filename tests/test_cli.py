@@ -207,6 +207,21 @@ def test_log_axis(tmp_path):
     assert deltas[1] == pytest.approx(np.sqrt(0.5 * 2.0))
 
 
+@pytest.mark.parametrize("scale, key, value", [("linear", "start", "nan"),
+                                                ("linear", "stop", "inf"),
+                                                ("log", "start", "nan"),
+                                                ("log", "stop", "inf")])
+def test_non_finite_axis_bound_is_a_config_error(tmp_path, scale, key, value):
+    # each point of such a grid used to fail as its own error row (exit 3)
+    axis = {"name": "delta", "start": 0.5, "stop": 2.0, "count": 3,
+            "scale": scale, key: value}
+    cfg = {"fixed": {"eps2": 0.5, "dim": 40}, "axes": [axis]}
+    out = tmp_path / "t.csv"
+    rc = cli.main(["splitting", "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(out)])
+    assert rc == 2 and not out.exists()
+
+
 def test_wigner_subcommand(tmp_path):
     cfg = {
         "fixed": {"delta": 6.0, "eps2": 2.0, "dim": 80},

@@ -2,14 +2,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from kerrcat.errors import TruncationRiskError
 from kerrcat.fock import HamiltonianParams, build_hamiltonian
 from kerrcat.phasespace import (WignerGrid, displaced_parity_point,
                                 wigner_function)
+from kerrcat.phasespace.wigner import _wigner_laguerre
 from kerrcat.spectra import eigensystem
-from oracles import wigner_q_integral
+from oracles import wigner_laguerre_reference, wigner_q_integral
 
 
 def fock_state(n, dim):
@@ -134,6 +137,53 @@ def test_custom_grid():
     wg = wigner_function(fock_state(0, 20), x=xg, p=pg)
     assert wg.values.shape == (31, 17)
     assert isinstance(wg, WignerGrid)
+
+
+def test_one_custom_axis_alone_is_rejected():
+    # a lone x or p used to be replaced, with the other, by the default grid
+    vac = fock_state(0, 20)
+    with pytest.raises(ValueError, match="both x and p"):
+        wigner_function(vac, x=np.linspace(-1, 1, 5))
+    with pytest.raises(ValueError, match="both x and p"):
+        wigner_function(vac, p=np.linspace(-1, 1, 5))
+
+
+def _grid(kind, extent, n):
+    """(x, p) of one grid shape: square, non-square, through the origin, 1 x N."""
+    if kind == "square":
+        x = np.linspace(-extent, extent, n)
+        return x, x
+    if kind == "rectangle":
+        return (np.linspace(-extent, 0.5 * extent, n),
+                np.linspace(-0.3 * extent, extent, n + 7))
+    if kind == "origin":
+        h = extent / n
+        return np.arange(-n, n + 1) * h, np.arange(-n // 2, n + 1) * h
+    return np.array([0.4 * extent]), np.linspace(-extent, extent, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(("real", "complex", "real as complex")),
+       support=st.sampled_from(("all", "even", "odd", "every third")),
+       grid=st.sampled_from(("square", "rectangle", "origin", "row")),
+       extent=st.floats(0.5, 12.0), n=st.integers(2, 25))
+def test_grid_bytes_equal_the_reference_kernel(dim, seed, kind, support, grid,
+                                               extent, n):
+    rng = np.random.default_rng(seed)
+    state = rng.normal(size=dim)
+    if kind == "complex":
+        state = state + 1j * rng.normal(size=dim)
+    elif kind == "real as complex":
+        state = state.astype(complex)
+    # one-parity and sparse supports zero whole diagonals c_m of the kernel
+    keep = {"all": 1, "even": 2, "odd": 2, "every third": 3}[support]
+    mask = np.arange(dim) % keep == (1 if support == "odd" else 0)
+    state = np.where(mask, state, 0.0)
+    state = state / np.linalg.norm(state)
+    x, p = _grid(grid, extent, n)
+    got = _wigner_laguerre(state, x, p)
+    assert got.tobytes() == wigner_laguerre_reference(state, x, p).tobytes()
 
 
 def test_complex_coherent_state_matches_point_evaluations():
