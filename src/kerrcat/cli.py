@@ -5,20 +5,13 @@
 
 Subcommands: spectrum, splitting, wkb, ebk, geometry, wigner, lindblad,
 calibrate.  The config is a JSON object; ``--set`` overrides win (dotted
-paths address nested keys).  A sweep takes a ``fixed`` table and one or two
-``axes``: delta and eps2 for splitting/wkb/ebk/geometry, also eps4 for
-spectrum, also kappa and n_th for lindblad.  Every sweep table ends in an
-``error`` column.  Exit codes: 0 success; 2 config error, found before any
-point is computed, with no file written: a ``fixed`` value outside the
-model's domain; ``axes`` that is not a list, or a ``state`` or ``grid``
-that is not a table; a non-integer ``fixed.dim``, axis ``count``, ``seed``,
-``n_levels``, ``n_samples``, ``state.eigen``, ``state.pair`` or
-``grid.points``; an axis ``count`` < 2, ``n_levels`` < 1, ``n_samples`` < 2
-or ``grid.points`` < 2; ``state.eigen`` outside [0, dim) or ``state.pair``
-outside [0, dim // 2); a ``state.localized`` other than right or left; a
-``grid.extent`` that is not a positive finite number; a trajectory
-``initial_state`` other than right_well, left_well or vacuum; a
-``calibrate`` input that is not finite, or ``--eps-x`` or ``--kerr`` <= 0.
+paths address nested keys).  ``SCHEMAS`` lists every key of each subcommand
+with its type, default and domain; ``null`` means absent.  A sweep takes a
+``fixed`` table and one or two ``axes``.  Every sweep table ends in an
+``error`` column.  Exit codes: 0 success; 2 config error, with no file
+written and no point computed: a key, type or value that ``SCHEMAS``
+rejects, a ``fixed`` value outside the model's domain, or a ``calibrate``
+input that is not finite, or ``--eps-x`` or ``--kerr`` <= 0.
 3 numeric failure: a point that raises becomes one row with its parameter
 cells, empty result cells and the exception class in ``error``; the table
 is still written.  KERRCAT_THREADS overrides the worker count.
@@ -27,9 +20,13 @@ is still written.  KERRCAT_THREADS overrides the worker count.
 from __future__ import annotations
 
 import argparse
+import difflib
+import itertools
 import json
+import math
 import os
 import sys
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -49,18 +46,133 @@ class ConfigError(ValueError):
     pass
 
 
+# -- config schema ---------------------------------------------------------------
+
+# A table maps each key to a table, a one-table list (1 or 2 such tables),
+# a Switch or a (type, default, domain) leaf: a default of ... marks a key
+# that must be given, and a domain is None, a tuple of allowed values or a
+# bound such as ">= 2".  Switch(key, default, tables) is a table whose other
+# keys are ``tables[value of key]`` (``default`` when absent).  Model-domain
+# checks of the ``fixed`` keys stay in HamiltonianParams and LindbladConfig.
+Switch = namedtuple("Switch", "key default tables")
+_HAM = {"delta": (float, 0.0, None), "kerr": (float, 1.0, None),
+        "eps2": (float, 0.0, None), "eps4": (float, 0.0, None),
+        "dim": (int, 0, None)}      # dim 0: fock.default_dim
+_RATES = {"kappa": (float, 0.02, None), "n_th": (float, 0.05, None),
+          "t_final": (float, 4000.0, None)}
+
+
+def _sweep_schema(axes, fixed=_HAM, **extra) -> dict:
+    axis = {"name": (str, ..., axes), "start": (float, ..., None),
+            "stop": (float, ..., None), "count": (int, ..., ">= 2"),
+            "scale": (str, "linear", ("linear", "log"))}
+    return {"fixed": fixed, "axes": [axis], "seed": (int, None, None), **extra}
+
+
+_WELL = {"pair": (int, 0, ">= 0")}
+SCHEMAS = {
+    **dict.fromkeys(("splitting", "wkb", "ebk", "geometry"),
+                    _sweep_schema(("delta", "eps2"))),
+    "spectrum": _sweep_schema(("delta", "eps2", "eps4"),
+                              n_levels=(int, 8, ">= 1")),
+    "wigner": {
+        "fixed": _HAM,
+        "state": Switch("localized", None, {None: {"eigen": (int, 0, ">= 0")},
+                                            "right": _WELL, "left": _WELL}),
+        "grid": {"points": (int, 201, ">= 2"), "extent": (float, None, "> 0")}},
+    "lindblad": Switch("trajectory", False, {
+        False: _sweep_schema(("delta", "eps2", "eps4", "kappa", "n_th"),
+                             {**_HAM, **_RATES}),
+        True: {"fixed": {**_HAM, **_RATES}, "n_samples": (int, 201, ">= 2"),
+               "initial_state": (str, "right_well",
+                                 ("right_well", "left_well", "vacuum"))}}),
+}
+_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _leaf(value, kind, default, domain, path):
+    if value is None:
+        if default is ...:
+            raise ConfigError(f"{path} is required")
+        return default
+    if kind is float and type(value) is int:
+        value = float(value) if abs(value) < 1e308 else math.inf
+    elif kind is int and type(value) is float and value.is_integer():
+        value = int(value)
+    if type(value) is not kind or kind is float and not math.isfinite(value):
+        raise ConfigError(f"{path} must be {_KINDS[kind]}, got {value!r}")
+    if isinstance(domain, str):
+        op, bound = domain.split()
+        bad = value < float(bound) or op == ">" and value == float(bound)
+    else:
+        bad = domain is not None and value not in domain
+        domain = "one of " + ", ".join(domain or ())
+    if bad:
+        raise ConfigError(f"{path} must be {domain}, got {value!r}")
+    return value
+
+
+def _walk(value, spec, path: str):
+    """``value`` checked against the schema entry ``spec`` (see ``SCHEMAS``),
+    with defaults filled in; ``path`` names it in the error."""
+    if isinstance(spec, list):
+        if not (isinstance(value, list) and 1 <= len(value) <= 2):
+            raise ConfigError(f"{path} must be a list of 1 or 2 tables, got {value!r}")
+        return [_walk(v, spec[0], f"{path}.{i}") for i, v in enumerate(value)]
+    if not isinstance(spec, (dict, Switch)):
+        return _leaf(value, *spec, path)
+    value = {} if value is None else value
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} must be a table, got {value!r}")
+    at, head, others = f"{path}." if path else "", {}, ()
+    if isinstance(spec, Switch):
+        pick = spec.default if value.get(spec.key) is None else value[spec.key]
+        match = [t for k, t in spec.tables.items() if (type(k), k) == (type(pick), pick)]
+        if not match:
+            raise ConfigError(f"{at}{spec.key} must be one of " + ", ".join(
+                map(json.dumps, spec.tables)) + f", got {pick!r}")
+        head, others = {spec.key: pick}, set().union(*spec.tables.values())
+        spec, switch = match[0], f"{at}{spec.key} = {json.dumps(pick)}"
+    for key in value:
+        if key in others and key not in spec:
+            raise ConfigError(f"{at}{key} is not read with {switch}")
+        if key not in spec and key not in head:
+            valid = [*head, *spec]
+            raise ConfigError(f"unknown key {at}{key}, expected " + " or ".join(
+                at + k for k in difflib.get_close_matches(key, valid, n=1) or valid))
+    return {**head, **{key: _walk(value.get(key), sub, at + key)
+                       for key, sub in spec.items()}}
+
+
+def check_config(command: str, cfg: dict) -> dict:
+    """``cfg`` checked against ``SCHEMAS[command]`` and the model's domain,
+    every default filled in; a ConfigError names the key path."""
+    cfg = _walk(cfg, SCHEMAS[command], "")
+    _model(cfg)
+    return cfg
+
+
+def _model(cfg: dict, over=None):
+    """HamiltonianParams of ``fixed`` updated by ``over``, in a LindbladConfig
+    if it has rates; ``fixed`` alone outside the domain is a config error."""
+    fixed = {**cfg["fixed"], **(over or {})}
+    rates = {key: fixed.pop(key) for key in _RATES if key in fixed}
+    try:
+        p = HamiltonianParams(**fixed)
+        return dynamics.LindbladConfig(params=p, **rates) if rates else p
+    except ValueError as exc:
+        if over:
+            raise
+        raise ConfigError(f"fixed: {exc}") from exc
+
+
 def _coerce(text: str):
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            pass
+    return {"true": True, "false": False}.get(text.lower(), text)
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
@@ -77,89 +189,29 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, val = item.partition("=")
-        node = cfg
-        parts = key.split(".")
-        for part in parts[:-1]:
+        node, (*parents, leaf) = cfg, key.split(".")
+        for part in parents:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
                 raise ConfigError(f"cannot override non-table key {key!r}")
-        node[parts[-1]] = _coerce(val)
+        node[leaf] = _coerce(val)
     return cfg
 
 
-def _axis_values(axis: dict, allowed) -> np.ndarray:
-    try:
-        name = axis["name"]
-        start, stop = float(axis["start"]), float(axis["stop"])
-        count = _int_setting(axis, "count", low=2)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad axis spec {axis!r}: {exc}") from exc
-    if count is None:
-        raise ConfigError(f"bad axis spec {axis!r}: no count")
-    if name not in allowed:
-        raise ConfigError(f"axis {name!r} is not one of {', '.join(allowed)}")
-    if not (np.isfinite(start) and np.isfinite(stop)):
-        raise ConfigError(f"bad axis spec {axis!r}: bounds must be finite")
-    scale = axis.get("scale", "linear")
-    if scale == "log":
-        if start <= 0 or stop <= 0:
-            raise ConfigError("log axis needs positive bounds")
-        return np.geomspace(start, stop, count)
-    if scale != "linear":
-        raise ConfigError(f"unknown axis scale {scale!r}")
-    return np.linspace(start, stop, count)
-
-
-def _grid(cfg: dict, axes):
-    """(names, points) of the config's swept axes, each named in ``axes``."""
-    specs = cfg.get("axes")
-    if not isinstance(specs, list) or not specs:
-        raise ConfigError("config needs an 'axes' list with 1 or 2 entries, "
-                          f"got {specs!r}")
-    if len(specs) > 2:
-        raise ConfigError("at most two swept axes are supported")
-    values = [_axis_values(ax, axes) for ax in specs]
-    names = [ax["name"] for ax in specs]
+def _grid(axes):
+    """(names, points) of the checked ``axes``: every combination of their
+    values as Python floats (numpy scalars slow the model), first axis
+    outermost."""
+    names = [ax["name"] for ax in axes]
     if len(set(names)) != len(names):
-        raise ConfigError("axes must name distinct parameters")
-    if len(specs) == 1:
-        return names, [(v,) for v in values[0]]
-    return names, [(u, v) for u in values[0] for v in values[1]]
-
-
-def _params(cfg: dict, **over) -> HamiltonianParams:
-    """Model parameters of the ``fixed`` table updated by ``over``.  The
-    ``fixed`` table alone outside the model's domain is a config error."""
-    try:
-        fixed = {**cfg.get("fixed", {}), **over}
-        return HamiltonianParams(
-            delta=float(fixed.get("delta", 0.0)),
-            kerr=float(fixed.get("kerr", 1.0)),
-            eps2=float(fixed.get("eps2", 0.0)),
-            eps4=float(fixed.get("eps4", 0.0)),
-            dim=_int_setting(fixed, "dim", 0),
-        )
-    except (TypeError, ValueError) as exc:
-        if over:
-            raise
-        raise ConfigError(f"bad fixed parameters: {exc}") from exc
-
-
-def _int_setting(cfg: dict, key: str, default=None, low=None):
-    """Integer config value ``key`` (``default`` when absent); anything that
-    is not an integer, or is below ``low``, is a config error."""
-    val = cfg.get(key, default)
-    if val is None:
-        return None
-    try:
-        num = int(val)
-    except (TypeError, ValueError, OverflowError):
-        num = None
-    if num is None or (isinstance(val, float) and num != val):
-        raise ConfigError(f"{key} must be an integer, got {val!r}")
-    if low is not None and num < low:
-        raise ConfigError(f"{key} must be >= {low}, got {num}")
-    return num
+        raise ConfigError(f"axes must name distinct parameters, got {names}")
+    values = []
+    for i, ax in enumerate(axes):
+        if ax["scale"] == "log" and min(ax["start"], ax["stop"]) <= 0:
+            raise ConfigError(f"axes.{i}: a log axis needs positive bounds")
+        space = np.geomspace if ax["scale"] == "log" else np.linspace
+        values.append(space(ax["start"], ax["stop"], ax["count"]).tolist())
+    return names, list(itertools.product(*values))
 
 
 def _n_threads(args) -> int:
@@ -181,35 +233,30 @@ def _parallel_map(fn, items, n_threads):
         return list(pool.map(fn, items))
 
 
-def _sweep(cfg: dict, args, axes, columns, point) -> SweepResult:
-    """Table of ``point(params, over)`` rows over the config's grid of
-    ``axes``, in grid order, with the columns ``columns(names)`` + error.
-
-    ``over`` maps the swept names to the point's values.  A point that
-    raises becomes one row: its parameter cells from ``fixed`` and the point,
-    ``None`` in the other result cells, the exception class in ``error``.
-    """
-    names, points = _grid(cfg, axes)
-    fixed = vars(_params(cfg))
-    seed = _int_setting(cfg, "seed")
+def _sweep(cfg: dict, args, columns, point) -> SweepResult:
+    """Table of ``point(_model(cfg, over), over)`` rows over the config's
+    grid, in grid order, with the columns ``columns(names)`` + error; ``over``
+    maps the swept names to the point's values.  A point that raises becomes
+    one row: its parameter cells from ``fixed`` and the point, ``None`` in the
+    other result cells, the exception class in ``error``."""
+    names, points = _grid(cfg["axes"])
     cols = columns(names)
-    n_threads = _n_threads(args)
 
     def one(values):
         over = dict(zip(names, values))
         try:
-            return point(_params(cfg, **over), over)
+            return point(_model(cfg, over), over)
         except Exception as exc:   # numeric failure: the row carries the code
-            cells = {**fixed, **over}
+            cells = {**cfg["fixed"], **over}
             return [(*(cells.get(c) for c in cols), type(exc).__name__)]
 
     table = SweepResult([*cols, "error"])
-    for rows in _parallel_map(one, points, n_threads):
+    for rows in _parallel_map(one, points, _n_threads(args)):
         for row in rows:
             table.append(*row)
     table.meta["subcommand"] = args.command
-    if seed is not None:
-        table.meta["seed"] = seed
+    if cfg["seed"] is not None:
+        table.meta["seed"] = cfg["seed"]
     return table
 
 
@@ -230,88 +277,47 @@ def _splitting_point(p: HamiltonianParams, over) -> list:
 
 
 def cmd_splitting(cfg: dict, args) -> SweepResult:
-    return _sweep(cfg, args, ("delta", "eps2"), lambda names: SPLITTING_COLUMNS,
-                  _splitting_point)
+    return _sweep(cfg, args, lambda names: SPLITTING_COLUMNS, _splitting_point)
 
 
 def cmd_spectrum(cfg: dict, args) -> SweepResult:
-    n_levels = _int_setting(cfg, "n_levels", 8, low=1)
-
     def point(p, over):
         energies, parities = spectra.levels(p)
         return [(p.delta, p.eps2, p.eps4, k, float(energies[k]),
-                 int(parities[k]), "") for k in range(min(n_levels, p.dim))]
+                 int(parities[k]), "") for k in range(min(cfg["n_levels"], p.dim))]
 
-    return _sweep(cfg, args, ("delta", "eps2", "eps4"),
-                  lambda names: ["delta", "eps2", "eps4", "level", "energy",
-                                 "parity"], point)
+    return _sweep(cfg, args, lambda names: ["delta", "eps2", "eps4", "level",
+                                            "energy", "parity"], point)
 
 
 def cmd_wigner(cfg: dict, args):
-    sel = cfg.get("state", {"eigen": 0})
-    if not isinstance(sel, dict) or ("eigen" not in sel and sel.get(
-            "localized") not in ("right", "left")):
-        raise ConfigError("state must be a table with 'eigen', or 'localized' "
-                          f"as right or left, got {sel!r}")
-    key = "eigen" if "eigen" in sel else "pair"
-    index = _int_setting(sel, key, 0)
-    grid_cfg = cfg.get("grid", {})
-    if not isinstance(grid_cfg, dict):
-        raise ConfigError(f"grid must be a table, got {grid_cfg!r}")
-    points = _int_setting(grid_cfg, "points", 201, low=2)
-    extent = grid_cfg.get("extent")
-    if extent is not None and not (type(extent) in (int, float)
-                                   and 0 < extent < np.inf):
-        raise ConfigError("grid.extent must be a positive finite number, got "
-                          f"{extent!r}")
-    p = _params(cfg)
-    bound = p.dim if key == "eigen" else p.dim // 2
-    if not 0 <= index < bound:
-        raise ConfigError(f"state.{key} must be in [0, {bound}), got {index}")
+    sel, grid = cfg["state"], cfg["grid"]
+    p = _model(cfg)
+    key, bound = ("eigen", p.dim) if sel["localized"] is None else ("pair", p.dim // 2)
+    if sel[key] >= bound:   # the one bound that needs the model's dim
+        raise ConfigError(f"state.{key} must be < {bound}, got {sel[key]}")
     es = eigensystem(build_hamiltonian(p))
-    if "eigen" in sel:
-        state = es.eigenvectors[:, index]
+    if key == "eigen":
+        state = es.eigenvectors[:, sel["eigen"]]
     else:
-        right, left = localized_pair(es, index)
-        state = right if sel["localized"] == "right" else left
-    return wigner_function(state, points=points, extent=extent)
-
-
-def _lindblad_config(cfg: dict, p: HamiltonianParams, over: dict):
-    """Evolution settings of the ``fixed`` table updated by ``over``; as in
-    ``_params``, the ``fixed`` rates alone outside their domain are a config
-    error."""
-    run = {**cfg.get("fixed", {}), **over}
-    try:
-        return dynamics.LindbladConfig(
-            params=p, kappa=float(run.get("kappa", 0.02)),
-            n_th=float(run.get("n_th", 0.05)),
-            t_final=float(run.get("t_final", 4000.0)))
-    except (TypeError, ValueError) as exc:
-        if over:
-            raise
-        raise ConfigError(f"bad fixed Lindblad rates: {exc}") from exc
+        state = localized_pair(es, sel["pair"])[sel["localized"] == "left"]
+    return wigner_function(state, points=grid["points"], extent=grid["extent"])
 
 
 def cmd_lindblad(cfg: dict, args) -> SweepResult:
-    base = _lindblad_config(cfg, _params(cfg), {})
-    if cfg.get("trajectory"):
-        init = cfg.get("initial_state", "right_well")
-        if init not in ("right_well", "left_well", "vacuum"):
-            raise ConfigError("initial_state must be right_well, left_well or "
-                              f"vacuum, got {init!r}")
+    if cfg["trajectory"]:
         table = dynamics.evolve(replace(
-            base, n_samples=_int_setting(cfg, "n_samples", 201, low=2),
-            initial_state=init))._table()
+            _model(cfg), n_samples=cfg["n_samples"],
+            initial_state=cfg["initial_state"]))._table()
         table.meta["subcommand"] = "lindblad-trajectory"
         return table
 
-    def point(p, over):
-        est = dynamics.tx_lifetime(_lindblad_config(cfg, p, over))
+    def point(run, over):
+        est = dynamics.tx_lifetime(run)
         return [(*over.values(), est.t_x, est.lower_bound, est.rank, "")]
 
-    return _sweep(cfg, args, ("delta", "eps2", "eps4", "kappa", "n_th"),
-                  lambda names: [*names, "t_x", "lower_bound", "rank"], point)
+    return _sweep(cfg, args, lambda names: [*names, "t_x", "lower_bound", "rank"],
+                  point)
 
 
 def cmd_calibrate(args) -> dict:
@@ -319,20 +325,13 @@ def cmd_calibrate(args) -> dict:
     if not (np.isfinite(omega_x) and 0 < eps_x < np.inf and 0 < kerr < np.inf):
         raise ConfigError("omega-x must be finite, eps-x and kerr positive and finite")
     alpha0_sq = omega_x**2 / (16.0 * eps_x**2)
-    report = {
-        "omega_x": omega_x,
-        "eps_x": eps_x,
-        "kerr": kerr,
-        "alpha0_sq": alpha0_sq,
-        "eps2": kerr * alpha0_sq,
-    }
-    return report
+    return {"omega_x": omega_x, "eps_x": eps_x, "kerr": kerr,
+            "alpha0_sq": alpha0_sq, "eps2": kerr * alpha0_sq}
 
 
 # -- entry point ----------------------------------------------------------------
 
-# config-driven subcommands: each returns the SweepResult or WignerGrid that
-# ``main`` writes
+# config-driven subcommands: each returns the table that ``main`` writes
 _COMMANDS = {"spectrum": cmd_spectrum, "splitting": cmd_splitting,
              "wkb": cmd_splitting, "ebk": cmd_splitting,
              "geometry": cmd_splitting, "wigner": cmd_wigner,
@@ -376,7 +375,8 @@ def main(argv=None) -> int:
             else:
                 write_json(args.out, report, indent=1)
             return 0
-        cfg = load_config(args.config, args.overrides)
+        cfg = check_config(args.command,
+                           load_config(args.config, args.overrides))
         table = _COMMANDS[args.command](cfg, args)
         (table.to_csv if args.format == "csv" else table.to_json)(args.out)
         # sweep tables end in the error column; a non-empty cell is a failure

@@ -106,20 +106,34 @@ def eigensystem(h: np.ndarray, hermitian_tol: float = 1e-10) -> EigenSystem:
         pars[pos:pos + k] = par
         vecs[start::2, pos:pos + k] = v
         pos += k
-    order = _descending(vals, pars)
-    return EigenSystem(vals[order], pars[order], vecs[:, order], dim)
+    energies, order = _descending(vals, pars)
+    return EigenSystem(energies, pars[order], vecs[:, order], dim)
 
 
 def _descending(vals, pars):
-    """Order of descending energy, the even member first on exact ties."""
-    return np.lexsort((-pars, -vals))
+    """The energies in descending order, and the order of the states (parity
+    labels, vectors) that goes with them.  Levels closer than 4 eps max|E|
+    (a few ulp) to their neighbour are ties that round-off cannot order: the
+    even state comes first among them."""
+    order = np.lexsort((-pars, -vals))
+    floor = 4 * np.finfo(float).eps * np.abs(vals).max(initial=0.0)
+    tie = np.concatenate(([0], np.cumsum(-np.diff(vals[order]) > floor)))
+    return vals[order], order[np.lexsort((-pars[order], tie))]
 
 
 def levels(p: HamiltonianParams):
     """(energies, parities) of the model Hamiltonian, ordered as
-    :func:`eigensystem` orders them: descending, even member first on exact
-    ties.  Each parity block is solved for its eigenvalues only, in upper
-    banded storage (bandwidth 1, or 2 when eps4 != 0)."""
+    :func:`eigensystem` orders them: descending, even first on ties within a
+    few ulp."""
+    vals, pars = _block_levels(p)
+    energies, order = _descending(vals, pars)
+    return energies, pars[order]
+
+
+def _block_levels(p: HamiltonianParams):
+    """(energies, parities) of the even, then the odd Fock block.  Each block
+    is solved for its eigenvalues only, in upper banded storage (bandwidth 1,
+    or 2 when eps4 != 0)."""
     diag, c2, c4 = hamiltonian_bands(p)
     u = 2 if p.eps4 else 1
     vals, pars = [], []
@@ -132,16 +146,14 @@ def levels(p: HamiltonianParams):
         vals.append(eig_banded(band, eigvals_only=True, overwrite_a_band=True,
                                check_finite=False))
         pars.append(np.full(band.shape[1], par))
-    vals, pars = np.concatenate(vals), np.concatenate(pars)
-    order = _descending(vals, pars)
-    return vals[order], pars[order]
+    return np.concatenate(vals), np.concatenate(pars)
 
 
 def tunnel_splitting(p: HamiltonianParams) -> TunnelSplitting:
     """Signed ground-manifold splitting E(top even) - E(top odd)."""
-    w, pars = levels(p)
-    de = w[pars == 1][0] - w[pars == -1][0]
-    return TunnelSplitting(de, abs(de), int(pars[0]))
+    vals, pars = _block_levels(p)
+    de = vals[pars == 1].max() - vals[pars == -1].max()
+    return TunnelSplitting(de, abs(de), int(pars[_descending(vals, pars)[1][0]]))
 
 
 def signed_splitting(delta: float, p0: HamiltonianParams) -> float:

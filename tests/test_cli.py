@@ -1,19 +1,26 @@
+import contextlib
+import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kerrcat import cli, dynamics
+from kerrcat import cli, dynamics, fock, semiclassical, spectra
 from kerrcat.fock import HamiltonianParams
+from kerrcat.phasespace import wigner_function
 from kerrcat.semiclassical import classify_phase
+from kerrcat.tables import SweepResult
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parents[1] / "README.md"
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -501,8 +508,7 @@ def test_bad_wigner_state_or_extent_is_a_config_error(tmp_path, monkeypatch,
 def test_config_value_of_the_wrong_shape_is_a_config_error(tmp_path, command,
                                                            override):
     # a state or grid that is not a table, or axes that is not a list
-    cfg = {"fixed": {"delta": 1.0, "eps2": 1.0, "dim": 20},
-           "axes": [{"name": "eps2", "start": 0.5, "stop": 1.0, "count": 2}]}
+    cfg = {"fixed": {"delta": 1.0, "eps2": 1.0, "dim": 20}}
     out = tmp_path / "t.csv"
     rc = cli.main([command, "--config", write_cfg(tmp_path, cfg),
                    "--out", str(out), "--set", override])
@@ -588,11 +594,263 @@ def test_calibrate_rejects_non_finite_or_non_positive_inputs(tmp_path, flags):
 def test_fractional_dim_or_count_is_a_config_error(tmp_path, command, dim,
                                                    count):
     # neither is truncated to an integer
-    cfg = {"fixed": {"delta": 1.0, "eps2": 0.5, "dim": dim},
-           "axes": [{"name": "delta", "start": 0.5, "stop": 2.0,
-                     "count": count}],
-           "grid": {"points": 11}}
+    cfg = {"fixed": {"delta": 1.0, "eps2": 0.5, "dim": dim}}
+    if command == "wigner":
+        cfg["grid"] = {"points": 11}
+    else:
+        cfg["axes"] = [{"name": "delta", "start": 0.5, "stop": 2.0,
+                        "count": count}]
     out = tmp_path / "t.csv"
     rc = cli.main([command, "--config", write_cfg(tmp_path, cfg),
                    "--out", str(out)])
     assert rc == 2 and not out.exists()
+
+
+# -- the config schema: null, ignored keys, one-key edits, README drift ----------
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("spectrum", {"fixed": {"dim": 12}, "n_levels": None,
+                  "axes": [{"name": "delta", "start": 0.5, "stop": 1.0, "count": 2}]},
+     "n_levels"),
+    ("lindblad", {"fixed": {"delta": 1.0, "eps2": 0.5, "dim": 12, "t_final": 2.0},
+                  "trajectory": True, "n_samples": None}, "n_samples"),
+    ("wigner", {"fixed": {"dim": 12}, "grid": {"points": None, "extent": 4.0}},
+     "grid.points")])
+def test_null_value_means_absent(tmp_path, command, cfg, key):
+    # each used to fail as a numeric failure (TypeError, exit 3)
+    out, ref = tmp_path / "null.csv", tmp_path / "absent.csv"
+    assert cli.main([command, "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+    *parents, leaf = key.split(".")
+    node = cfg
+    for part in parents:
+        node = node[part]
+    del node[leaf]
+    assert cli.main([command, "--config", write_cfg(tmp_path, cfg, "ref.json"),
+                     "--out", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_null_required_key_is_a_config_error(tmp_path):
+    rc, out = run_sweep(tmp_path, "splitting", [
+        {"name": "delta", "start": 0.5, "stop": 1.0, "count": None}])
+    assert rc == 2 and not out.exists()
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("wigner", {"fixed": {"dim": 20}, "grid": {"points": 11},
+                "state": {"eigen": 1, "localized": "right"}}),
+    ("lindblad", {"fixed": {"dim": 20, "t_final": 2.0}, "trajectory": True,
+                  "axes": [{"name": "delta", "start": 0.5, "stop": 1.0,
+                            "count": 2}]}),
+    ("lindblad", {"fixed": {"dim": 20, "t_final": 2.0}, "trajectory": True,
+                  "seed": 3}),
+    ("lindblad", {"fixed": {"dim": 20, "t_final": 2.0}, "trajectory": "false",
+                  "n_samples": 5}),
+    ("lindblad", {"fixed": {"dim": 20, "t_final": 2.0}, "trajectory": 1,
+                  "n_samples": 5})])
+def test_key_that_would_be_ignored_is_a_config_error(tmp_path, monkeypatch,
+                                                     capsys, command, cfg):
+    # each used to run (exit 0), reading one key and ignoring the other
+    calls = []
+    monkeypatch.setattr(cli, "eigensystem", lambda h: calls.append(h))
+    monkeypatch.setattr(cli.dynamics, "evolve", lambda c: calls.append(c))
+    out = tmp_path / "t.csv"
+    rc = cli.main([command, "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(out)])
+    assert rc == 2 and not out.exists() and calls == []
+    assert "config error" in capsys.readouterr().err
+
+
+def test_wigner_without_state_writes_eigenstate_0(tmp_path):
+    cfg = {"fixed": {"delta": 1.0, "eps2": 1.0, "dim": 20},
+           "grid": {"points": 21}}
+    out, ref = tmp_path / "default.csv", tmp_path / "eigen0.csv"
+    assert cli.main(["wigner", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+    cfg["state"] = {"eigen": 0}
+    assert cli.main(["wigner", "--config", write_cfg(tmp_path, cfg, "e0.json"),
+                     "--out", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+
+
+VALID = {
+    "splitting": ("splitting", {
+        "fixed": {"delta": 1.0, "eps2": 0.5, "dim": 20}, "seed": 1,
+        "axes": [{"name": "delta", "start": 0.5, "stop": 1.5, "count": 2}]}),
+    "spectrum": ("spectrum", {
+        "fixed": {"eps2": 0.5, "dim": 20}, "n_levels": 3,
+        "axes": [{"name": "eps4", "start": 0.01, "stop": 0.04, "count": 2,
+                  "scale": "log"}]}),
+    "wigner-eigen": ("wigner", {
+        "fixed": {"delta": 1.0, "eps2": 1.0, "dim": 20}, "state": {"eigen": 1},
+        "grid": {"points": 11}}),
+    "wigner-well": ("wigner", {
+        "fixed": {"delta": 1.0, "eps2": 1.0, "kerr": 1.0, "dim": 20},
+        "state": {"localized": "left", "pair": 1},
+        "grid": {"points": 11, "extent": 5.0}}),
+    "lindblad": ("lindblad", {
+        "fixed": {"delta": 1.0, "eps2": 0.5, "dim": 20, "kappa": 0.05,
+                  "n_th": 0.05, "t_final": 100.0},
+        "axes": [{"name": "kappa", "start": 0.02, "stop": 0.05, "count": 2}]}),
+    "trajectory": ("lindblad", {
+        "fixed": {"delta": 1.0, "eps2": 0.5, "eps4": 0.0, "dim": 20,
+                  "kappa": 0.05, "n_th": 0.0, "t_final": 2.0},
+        "trajectory": True, "n_samples": 5, "initial_state": "vacuum"}),
+}
+
+
+def library_table(name):
+    """The table of ``VALID[name]`` built from library calls, without the CLI."""
+    cfg = VALID[name][1]
+    fixed = cfg["fixed"]
+    ham = {k: v for k, v in fixed.items()
+           if k in ("delta", "eps2", "eps4", "kerr", "dim")}
+    if name == "splitting":
+        table = SweepResult(cli.SPLITTING_COLUMNS + ["error"])
+        for d in np.linspace(0.5, 1.5, 2):
+            ts = spectra.tunnel_splitting(HamiltonianParams(**dict(ham, delta=d)))
+            geo = semiclassical.geometry(d, 0.5)
+            table.append(d, 0.5, ts.abs_delta_e, ts.delta_e,
+                         semiclassical.wkb_splitting(d, 0.5),
+                         semiclassical.ebk_levels_exact(d, 0.5),
+                         geo.barrier_height, geo.separatrix_area,
+                         geo.region.value, "")
+        return table
+    if name == "spectrum":
+        table = SweepResult(["delta", "eps2", "eps4", "level", "energy", "parity",
+                             "error"])
+        for e4 in np.geomspace(0.01, 0.04, 2):
+            energies, parities = spectra.levels(
+                HamiltonianParams(delta=0.0, **ham, eps4=e4))
+            for k in range(3):
+                table.append(0.0, 0.5, e4, k, float(energies[k]), int(parities[k]), "")
+        return table
+    if name.startswith("wigner"):
+        es = spectra.eigensystem(fock.build_hamiltonian(HamiltonianParams(**ham)))
+        state = (es.eigenvectors[:, 1] if name == "wigner-eigen"
+                 else spectra.localized_pair(es, 1)[1])
+        return wigner_function(state, points=11, extent=cfg["grid"].get("extent"))
+    rates = {k: fixed[k] for k in ("n_th", "t_final")}
+    if name == "trajectory":
+        return dynamics.evolve(dynamics.LindbladConfig(
+            params=HamiltonianParams(**ham), kappa=0.05, **rates, n_samples=5,
+            initial_state="vacuum"))._table()
+    table = SweepResult(["kappa", "t_x", "lower_bound", "rank", "error"])
+    for kappa in np.linspace(0.02, 0.05, 2):
+        est = dynamics.tx_lifetime(dynamics.LindbladConfig(
+            params=HamiltonianParams(**ham), kappa=kappa, **rates))
+        table.append(kappa, est.t_x, est.lower_bound, est.rank, "")
+    return table
+
+
+@pytest.mark.parametrize("name", sorted(VALID))
+def test_valid_config_writes_the_library_table(tmp_path, name):
+    command, cfg = VALID[name]
+    out, ref = tmp_path / "cli.csv", tmp_path / "lib.csv"
+    assert cli.main([command, "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+    library_table(name).to_csv(ref)
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def schema_keys(spec):
+    """Every key name of a SCHEMAS entry, at any level."""
+    if isinstance(spec, list):
+        return schema_keys(spec[0])
+    if isinstance(spec, cli.Switch):
+        return {spec.key}.union(*map(schema_keys, spec.tables.values()))
+    if isinstance(spec, dict):
+        return set(spec).union(*map(schema_keys, spec.values()))
+    return set()
+
+
+ALL_KEYS = set().union(*map(schema_keys, cli.SCHEMAS.values()))
+NAN, INF = float("nan"), float("inf")
+# values outside each key's domain, in the table or in the model
+OUT_OF_DOMAIN = {
+    "count": [1, 0, -3], "n_levels": [0, -1], "points": [1, 0], "n_samples": [1],
+    "extent": [0.0, -1.0, INF], "pair": [-1, 10], "eigen": [-1, 20],
+    "name": ["zeta", "kerr"], "scale": ["cubic"], "localized": ["up"],
+    "initial_state": ["bogus"], "eps2": [-0.5, NAN], "eps4": [-0.1],
+    "kerr": [0.0, -1.0], "dim": [2, -5], "kappa": [-0.1], "n_th": [-1.0],
+    "t_final": [0.0, -INF], "delta": [NAN, INF], "stop": [INF], "start": [NAN]}
+WRONG_TYPE = {dict: [3, "x", []], list: [3, {}], float: ["1.5", True, [1.0]],
+              int: ["2", True, 2.5, [2]], str: [3, False, ["right"]],
+              bool: ["true", 1, 0]}
+
+
+def key_paths(node, prefix=()):
+    """Path of every key in the config ``node``, tables and lists included."""
+    items = enumerate(node) if isinstance(node, list) else node.items()
+    for key, value in items:
+        if not isinstance(key, int):
+            yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from key_paths(value, prefix + (key,))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_one_key_edit_is_a_config_error_naming_the_key(tmp_path_factory, data):
+    name = data.draw(st.sampled_from(sorted(VALID)))
+    command, cfg = VALID[name]
+    cfg = json.loads(json.dumps(cfg))
+    path = data.draw(st.sampled_from(list(key_paths(cfg))))
+    parent = cfg
+    for part in path[:-1]:
+        parent = parent[part]
+    key, value = path[-1], parent[path[-1]]
+    kinds = ["misspelt", "wrong type"] + ["out of domain"] * (key in OUT_OF_DOMAIN)
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "misspelt":
+        at = data.draw(st.integers(0, len(key)))
+        new = key[:at] + data.draw(st.sampled_from("qxz_")) + key[at:]
+        assume(new not in ALL_KEYS)
+        # rename in place: the misspelt key keeps its position in the table
+        edited = {(new if k == key else k): v for k, v in parent.items()}
+        parent.clear()
+        parent.update(edited)
+        path = path[:-1] + (new,)
+    else:
+        pool = (OUT_OF_DOMAIN[key] if kind == "out of domain"
+                else WRONG_TYPE[type(value)])
+        parent[key] = data.draw(st.sampled_from(pool))
+    tmp = tmp_path_factory.mktemp("edit")
+    out, err = tmp / "t.csv", io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main([command, "--config", write_cfg(tmp, cfg), "--out", str(out)])
+    line = err.getvalue()
+    dotted = ".".join(map(str, path))
+    assert rc == 2 and not out.exists(), (dotted, line)
+    # a model-domain error on the fixed table reads "fixed: <the model's message>"
+    assert dotted in line or (line.startswith("config error: fixed: ")
+                              and path[0] == "fixed" and key in line), (dotted, line)
+
+
+def readme_cli():
+    """(JSON configs, ``sh`` block kerrcat command lines) of README.md."""
+    text = README.read_text()
+    configs = [json.loads(block) for block in
+               re.findall(r"```json\n(.*?)```", text, flags=re.S)]
+    shell = "".join(re.findall(r"```sh\n(.*?)```", text, flags=re.S))
+    lines = [shlex.split(cmd.replace("\\\n", " ")) for cmd in
+             re.findall(r"^kerrcat (?:[^\n]*\\\n)*[^\n]*", shell, flags=re.M)]
+    return configs, lines
+
+
+def test_readme_configs_and_command_lines_pass_check_config(tmp_path):
+    # the README's key list names every key of SCHEMAS
+    readme = README.read_text()
+    assert [key for key in sorted(ALL_KEYS) if f"`{key}`" not in readme] == []
+    configs, lines = readme_cli()
+    assert configs and len(lines) >= 4
+    for cfg in configs:
+        cli.check_config("splitting", cfg)
+    path = write_cfg(tmp_path, configs[0])
+    for argv in lines:
+        args = cli.build_parser().parse_args(
+            [path if arg.endswith(".json") else arg for arg in argv[1:]])
+        if args.command != "calibrate":
+            cli.check_config(args.command, cli.load_config(args.config,
+                                                          args.overrides))

@@ -173,6 +173,23 @@ def test_banded_levels_match_dense_parity_blocks(delta, eps2, eps4, dim):
         assert ts.ground_parity == es.parities[0]
 
 
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(0, 4), eps2=st.floats(0.0, 2.0), dim=st.integers(20, 100))
+def test_degenerate_pairs_at_even_detuning_list_the_even_state_first(m, eps2,
+                                                                     dim):
+    # at delta = 2m the top pairs are degenerate: round-off alone used to
+    # decide their parity order, differently in the two solvers
+    p = HamiltonianParams(delta=2.0 * m, eps2=eps2, dim=dim)
+    energies, parities = levels(p)
+    es = eigensystem(build_hamiltonian(p))
+    assert np.array_equal(parities, es.parities)
+    assert np.all(np.diff(energies) <= 0)
+    floor = 4 * np.finfo(float).eps * np.abs(energies).max()
+    for k in np.flatnonzero(np.abs(np.diff(energies)) <= floor):
+        assert parities[k] >= parities[k + 1]
+    assert tunnel_splitting(p).ground_parity == parities[0]
+
+
 def test_splittings_and_level_lists_build_no_dense_matrix(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense Hamiltonian or eigensolve on a splitting path")
@@ -197,7 +214,8 @@ def test_splittings_and_level_lists_build_no_dense_matrix(tmp_path, monkeypatch)
     for command, axis in (("splitting", "eps2"), ("spectrum", "eps4")):
         cfg = tmp_path / f"{command}.json"
         cfg.write_text(json.dumps({
-            "fixed": {"delta": 2.0, "dim": 40}, "n_levels": 4,
+            "fixed": {"delta": 2.0, "dim": 40},
+            **({"n_levels": 4} if command == "spectrum" else {}),
             "axes": [{"name": axis, "start": 0.2, "stop": 1.0, "count": 3}]}))
         out = tmp_path / f"{command}.csv"
         assert cli.main([command, "--config", str(cfg), "--out", str(out),
