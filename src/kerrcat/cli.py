@@ -263,14 +263,15 @@ def _sweep(cfg: dict, args, columns, point) -> SweepResult:
 # -- subcommand bodies ----------------------------------------------------------
 
 def _splitting_point(p: HamiltonianParams, over) -> list:
-    err = ""
     geo = semiclassical.geometry(p.delta, p.eps2, p.kerr)
     n_ebk = semiclassical.ebk_levels_exact(p.delta, p.eps2, p.kerr)
     try:
         de_wkb = semiclassical.wkb_splitting(p.delta, p.eps2, p.kerr)
     except ValueError:
         de_wkb = float("nan")
-        err = "wkb-domain"
+    # outside the WKB domain, or a closed form overflowed (a subnormal eps2)
+    semi = (de_wkb, n_ebk, geo.barrier_height, geo.separatrix_area)
+    err = "" if all(map(math.isfinite, semi)) else "wkb-domain"
     ts = spectra.tunnel_splitting(p)
     return [(p.delta, p.eps2, ts.abs_delta_e, ts.delta_e, de_wkb, n_ebk,
              geo.barrier_height, geo.separatrix_area, geo.region.value, err)]

@@ -5,17 +5,20 @@ lambda > 0, i.e. c = u + v*s where u, v are Gaussian rationals and
 s = sqrt(2*lambda).  This ring is closed under the star product, the McCoy
 prefactor and the linear substitution between the (a, a*) and (x, p) bases,
 so every identity in the module tests exactly.
+
+A :class:`Coeff` holds four integer numerators (re, im, s_re, s_im) over one
+shared positive denominator, reduced by a single ``math.gcd`` whenever one is
+built, so equal values have equal parts and hash equal.  Products skip the
+sqrt(2*lambda) terms when neither factor has any, and real scales skip the
+imaginary cross terms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
-__all__ = ["Coeff", "ZERO", "ONE", "I"]
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+__all__ = ["Coeff"]
 
 
 def _fr(x) -> Fraction:
@@ -26,53 +29,93 @@ def _fr(x) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
 class Coeff:
-    """c = (ur + i*ui) + (vr + i*vi) * sqrt(2*lambda), all parts rational."""
+    """c = ((re + i*im) + (s_re + i*s_im) * sqrt(2*lambda)) / den with integer
+    parts, den > 0 and gcd(re, im, s_re, s_im, den) = 1; treat as immutable."""
 
-    ur: Fraction = _F0
-    ui: Fraction = _F0
-    vr: Fraction = _F0
-    vi: Fraction = _F0
+    __slots__ = ("re", "im", "s_re", "s_im", "den")
+
+    def __init__(self, re: int = 0, im: int = 0, s_re: int = 0, s_im: int = 0,
+                 den: int = 1):
+        g = gcd(re, im, s_re, s_im, den)
+        if g != 1:
+            re, im, s_re, s_im, den = re // g, im // g, s_re // g, s_im // g, den // g
+        self.re, self.im, self.s_re, self.s_im, self.den = re, im, s_re, s_im, den
 
     @classmethod
     def of(cls, re=0, im=0, s_re=0, s_im=0) -> "Coeff":
-        return cls(_fr(re), _fr(im), _fr(s_re), _fr(s_im))
+        """From rational (or float, to 1e-12) parts re + i*im + (s_re + i*s_im) s."""
+        parts = [_fr(re), _fr(im), _fr(s_re), _fr(s_im)]
+        den = lcm(*(x.denominator for x in parts))
+        return cls(*(x.numerator * (den // x.denominator) for x in parts), den)
 
     def is_zero(self) -> bool:
-        return not (self.ur or self.ui or self.vr or self.vi)
+        return not (self.re or self.im or self.s_re or self.s_im)
+
+    def __eq__(self, o):
+        if not isinstance(o, Coeff):
+            return NotImplemented
+        return (self.re == o.re and self.im == o.im and self.s_re == o.s_re
+                and self.s_im == o.s_im and self.den == o.den)
+
+    def __hash__(self):
+        return hash((self.re, self.im, self.s_re, self.s_im, self.den))
+
+    def __repr__(self):
+        return (f"Coeff(re={self.re}, im={self.im}, s_re={self.s_re}, "
+                f"s_im={self.s_im}, den={self.den})")
 
     def __add__(self, o: "Coeff") -> "Coeff":
-        return Coeff(self.ur + o.ur, self.ui + o.ui, self.vr + o.vr, self.vi + o.vi)
+        d, e = self.den, o.den
+        if d == e:
+            return Coeff(self.re + o.re, self.im + o.im, self.s_re + o.s_re,
+                         self.s_im + o.s_im, d)
+        return Coeff(self.re * e + o.re * d, self.im * e + o.im * d,
+                     self.s_re * e + o.s_re * d, self.s_im * e + o.s_im * d, d * e)
 
     def __sub__(self, o: "Coeff") -> "Coeff":
-        return Coeff(self.ur - o.ur, self.ui - o.ui, self.vr - o.vr, self.vi - o.vi)
+        d, e = self.den, o.den
+        if d == e:
+            return Coeff(self.re - o.re, self.im - o.im, self.s_re - o.s_re,
+                         self.s_im - o.s_im, d)
+        return Coeff(self.re * e - o.re * d, self.im * e - o.im * d,
+                     self.s_re * e - o.s_re * d, self.s_im * e - o.s_im * d, d * e)
 
     def __neg__(self) -> "Coeff":
-        return Coeff(-self.ur, -self.ui, -self.vr, -self.vi)
+        return Coeff(-self.re, -self.im, -self.s_re, -self.s_im, self.den)
 
     def mul(self, o: "Coeff", two_lam: Fraction) -> "Coeff":
-        """Product with s^2 = two_lam folded back into the rational part."""
-        ur = self.ur * o.ur - self.ui * o.ui + two_lam * (self.vr * o.vr - self.vi * o.vi)
-        ui = self.ur * o.ui + self.ui * o.ur + two_lam * (self.vr * o.vi + self.vi * o.vr)
-        vr = self.ur * o.vr - self.ui * o.vi + self.vr * o.ur - self.vi * o.ui
-        vi = self.ur * o.vi + self.ui * o.vr + self.vr * o.ui + self.vi * o.ur
-        return Coeff(ur, ui, vr, vi)
+        """Product with s^2 = two_lam (a rational) folded back into the
+        rational part."""
+        a, b, c, d = self.re, self.im, self.s_re, self.s_im
+        e, f, g, h = o.re, o.im, o.s_re, o.s_im
+        if not (c or d or g or h):
+            return Coeff(a * e - b * f, a * f + b * e, 0, 0, self.den * o.den)
+        p, q = two_lam.numerator, two_lam.denominator
+        return Coeff(q * (a * e - b * f) + p * (c * g - d * h),
+                     q * (a * f + b * e) + p * (c * h + d * g),
+                     q * (a * g - b * h + c * e - d * f),
+                     q * (a * h + b * g + c * f + d * e), q * self.den * o.den)
 
     def scale(self, re, im=0) -> "Coeff":
         """Multiply by the Gaussian rational re + i*im."""
+        if not im and type(re) is int:
+            return Coeff(self.re * re, self.im * re, self.s_re * re, self.s_im * re,
+                         self.den)
         re, im = _fr(re), _fr(im)
-        return Coeff(self.ur * re - self.ui * im, self.ur * im + self.ui * re,
-                     self.vr * re - self.vi * im, self.vr * im + self.vi * re)
+        x, y, d = re.numerator, im.numerator, re.denominator
+        if not y:
+            return Coeff(self.re * x, self.im * x, self.s_re * x, self.s_im * x,
+                         self.den * d)
+        e = im.denominator
+        x, y = x * e, y * d
+        return Coeff(self.re * x - self.im * y, self.re * y + self.im * x,
+                     self.s_re * x - self.s_im * y, self.s_re * y + self.s_im * x,
+                     self.den * d * e)
 
     def conj(self) -> "Coeff":
-        return Coeff(self.ur, -self.ui, self.vr, -self.vi)
+        return Coeff(self.re, -self.im, self.s_re, -self.s_im, self.den)
 
     def to_complex(self, lam: float) -> complex:
-        s = (2.0 * lam) ** 0.5
-        return complex(self.ur + s * self.vr, self.ui + s * self.vi)
-
-
-ZERO = Coeff()
-ONE = Coeff.of(1)
-I = Coeff.of(0, 1)
+        s, d = (2.0 * lam) ** 0.5, self.den
+        return complex(self.re / d + s * (self.s_re / d), self.im / d + s * (self.s_im / d))

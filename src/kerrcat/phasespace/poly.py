@@ -7,11 +7,15 @@ constants are exact (see :mod:`.coeff`), so the identities tested downstream
 hold with zero tolerance.
 
 The star product and the McCoy maps work one monomial pair at a time.  All
-order-n terms of a^j1 a*^k1 star a^j2 a*^k2 land on a^(j1+j2-n) a*^(k1+k2-n),
-so their integer weight (a signed sum of falling-factorial products) is summed
-first and applied with one coefficient scaling by u^n/n!, where u = 1/2 in
-(a, a*) and i*lambda/2 in (x, p).  The McCoy maps are exp(c d_0 d_1) with
-c = 1/2 (quantize), -1/2 (Wigner transform) or -i*lambda/2 (x-ordered).
+order-n terms of a^j1 a*^k1 star a^j2 a*^k2 land on a^(j1+j2-n) a*^(k1+k2-n)
+with one integer weight (a signed sum of binomial and falling-factorial
+products) times u^n, where u = 1/2 in (a, a*) and i*lambda/2 in (x, p).  The
+McCoy maps are exp(c d_0 d_1) with c = 1/2 (quantize), -1/2 (Wigner
+transform) or -i*lambda/2 (x-ordered), whose order-r weights are integers
+times c^r too.  Both take one coefficient product per monomial pair (or one
+coefficient per monomial) and add every weighted term to its output monomial
+as integer numerators over one shared denominator; each output coefficient
+is reduced once, at the end.
 """
 
 from __future__ import annotations
@@ -154,33 +158,86 @@ def p_var(lam=1):
 
 # -- star product -------------------------------------------------------------
 
-def _power_over_factorial(mag: Fraction, turns: int, n: int) -> tuple:
-    """(re, im) of (mag * i^turns)^n / n!."""
-    m = mag**n / math.factorial(n)
-    return ((m, 0), (0, m), (-m, 0), (0, -m))[turns * n % 4]
+def _weighted_sum(basis: str, lam: Fraction, mag: Fraction, turns: int,
+                  items: list) -> PhaseSpacePolynomial:
+    """Sum of c * w_n * (mag * i^turns)^n * monomial (j - n, k - n) over
+    ``items`` (c, j, k, n0, ws), where ws lists the integer weights w_n of the
+    orders n = n0, n0 + 1, ....
+
+    Every term is added as integer numerators over the one denominator
+    lcm(c.den) * mag.denominator^top, so the sums take no gcd; each output
+    monomial is reduced once, when its Coeff is built.
+    """
+    top = max((n0 + len(ws) - 1 for _, _, _, n0, ws in items), default=0)
+    p, q = mag.numerator, mag.denominator
+    units = []                     # (mag i^turns)^n = u * i^swap / q^top
+    for n in range(top + 1):
+        u, t = p**n * q**(top - n), turns * n % 4
+        units.append((-u if t >= 2 else u, t % 2))
+    den = math.lcm(*{c.den for c, *_ in items})
+    acc = {}
+    for c, j, k, n0, ws in items:
+        m = den // c.den
+        re, im, s_re, s_im = c.re * m, c.im * m, c.s_re * m, c.s_im * m
+        has_s = s_re or s_im
+        for n, w in enumerate(ws, n0):
+            if not w:
+                continue
+            u, swap = units[n]
+            w *= u
+            key = (j - n, k - n)
+            a = acc.get(key)
+            if a is None:
+                a = acc[key] = [0, 0, 0, 0]
+            if swap:               # times i: (re, im) -> (-im, re)
+                a[0] -= w * im
+                a[1] += w * re
+                if has_s:
+                    a[2] -= w * s_im
+                    a[3] += w * s_re
+            else:
+                a[0] += w * re
+                a[1] += w * im
+                if has_s:
+                    a[2] += w * s_re
+                    a[3] += w * s_im
+    den *= q**top
+    return PhaseSpacePolynomial(basis, {key: Coeff(*a, den) for key, a in acc.items()}, lam)
+
+
+def _factor_row(x: int, y: int, sign: int) -> list:
+    """sign^m C(x, m) P(y, m) for m = 0..min(x, y), P(y, m) = y!/(y - m)!."""
+    return [sign**m * math.comb(x, m) * math.perm(y, m) for m in range(min(x, y) + 1)]
 
 
 def _star_orders(f: PhaseSpacePolynomial, g: PhaseSpacePolynomial,
                  lo: int, hi: int) -> PhaseSpacePolynomial:
-    """Star-product terms of orders lo..hi, summed one monomial pair at a time."""
+    """Star-product terms of orders lo..hi, summed one monomial pair at a time.
+
+    With m derivatives d_0 on f and d_1 on g and k the other way round, the
+    order-n weight of a^j1 a*^k1 star a^j2 a*^k2 is u^n times the integer
+    sum over m + k = n of C(j1, m) P(k2, m) (-1)^k C(k1, k) P(j2, k).
+    """
     f._check(g)
     mag, turns = (_ONE_HALF, 0) if f.basis == "a" else (f.lam * _ONE_HALF, 1)
-    units = [_power_over_factorial(mag, turns, n) for n in range(hi + 1)]
     two_lam = 2 * f.lam
-    terms = {}
+    lo = max(lo, 0)
+    rows_m = {(j1, k2): _factor_row(j1, k2, 1)
+              for j1, _ in f.terms for _, k2 in g.terms}
+    rows_k = {(k1, j2): _factor_row(k1, j2, -1)
+              for _, k1 in f.terms for j2, _ in g.terms}
+    items = []
     for (j1, k1), c1 in f.terms.items():
         for (j2, k2), c2 in g.terms.items():
-            c = c1.mul(c2, two_lam)
-            # k = number of d_1 on f (and d_0 on g) <= right; n - k <= left
-            left, right = min(j1, k2), min(k1, j2)
-            for n in range(max(lo, 0), min(hi, left + right) + 1):
-                w = sum((-1)**k * math.comb(n, k) * math.perm(j1, n - k) * math.perm(k1, k)
-                        * math.perm(k2, n - k) * math.perm(j2, k)
-                        for k in range(max(0, n - left), min(n, right) + 1))
-                re, im = units[n]
-                key = (j1 + j2 - n, k1 + k2 - n)
-                terms[key] = terms.get(key, Coeff()) + c.scale(w * re, w * im)
-    return PhaseSpacePolynomial(f.basis, terms, f.lam)
+            a, b = rows_m[(j1, k2)], rows_k[(k1, j2)]
+            left, right = len(a) - 1, len(b) - 1
+            top = min(hi, left + right)
+            if top < lo:
+                continue
+            ws = [sum(a[m] * b[n - m] for m in range(max(0, n - right), min(n, left) + 1))
+                  for n in range(lo, top + 1)]
+            items.append((c1.mul(c2, two_lam), j1 + j2, k1 + k2, lo, ws))
+    return _weighted_sum(f.basis, f.lam, mag, turns, items)
 
 
 def star_term(f: PhaseSpacePolynomial, g: PhaseSpacePolynomial, n: int) -> PhaseSpacePolynomial:
@@ -309,15 +366,11 @@ def _swapped(terms: dict) -> dict:
 
 
 def _exp_mixed_deriv(poly: PhaseSpacePolynomial, mag: Fraction, turns: int):
-    """exp(c d_0 d_1) with c = mag * i^turns on ``poly``; finite sum."""
-    terms = {}
-    for (j, k), c in poly.terms.items():
-        for r in range(min(j, k) + 1):
-            re, im = _power_over_factorial(mag, turns, r)
-            w = math.perm(j, r) * math.perm(k, r)
-            key = (j - r, k - r)
-            terms[key] = terms.get(key, Coeff()) + c.scale(w * re, w * im)
-    return PhaseSpacePolynomial(poly.basis, terms, poly.lam)
+    """exp(c d_0 d_1) with c = mag * i^turns on ``poly``; finite sum whose
+    order-r weight on a^j a*^k is the integer C(j, r) P(k, r)."""
+    items = [(c, j, k, 0, [math.comb(j, r) * math.perm(k, r) for r in range(min(j, k) + 1)])
+             for (j, k), c in poly.terms.items()]
+    return _weighted_sum(poly.basis, poly.lam, mag, turns, items)
 
 
 def mccoy_quantize(f: PhaseSpacePolynomial) -> NormalOrderedOperatorPoly:

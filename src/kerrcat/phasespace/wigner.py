@@ -21,7 +21,7 @@ from scipy.special import gammaln
 
 from ..errors import TruncationRiskError
 from ..fock import displacement_operator, parity_operator
-from ..tables import write_csv, write_json
+from ..tables import format_sig, write_csv, write_json
 
 __all__ = ["WignerGrid", "wigner_function", "displaced_parity_point",
            "default_extent"]
@@ -44,11 +44,14 @@ class WignerGrid:
         return float(2 * np.pi * (self.values**2).sum() * self.cell_area)
 
     def to_csv(self, path) -> None:
-        p = self.p.tolist()
+        # x and p are formatted once each, not once per grid point, and the
+        # lines of one x value reach write_csv joined into one string, which
+        # format_sig passes through unchanged: one write per x value
+        ps = [format_sig(v) + "," for v in self.p.tolist()]
         write_csv(path, ["x", "p", "w"],
-                  ((xv, pv, w) for xv, row in zip(self.x.tolist(),
-                                                  self.values.tolist())
-                   for pv, w in zip(p, row)))
+                  (("\n".join([xs + pv + format_sig(w) for pv, w in zip(ps, row)]),)
+                   for xs, row in zip((format_sig(v) + "," for v in self.x.tolist()),
+                                      self.values.tolist()) if row))
 
     def to_json(self, path) -> None:
         write_json(path, {

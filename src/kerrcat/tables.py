@@ -41,9 +41,12 @@ def write_csv(path, columns, rows) -> None:
 
 
 def write_json(path, payload, indent=None) -> None:
+    """One JSON document and a newline.  ``json.dumps`` with ``indent=None``
+    runs the C encoder, which ``json.dump`` to a file never does; the bytes
+    are the same."""
+    text = json.dumps(payload, indent=indent, default=float) + "\n"
     with open(path, "w") as f:
-        json.dump(payload, f, indent=indent, default=float)
-        f.write("\n")
+        f.write(text)
 
 
 @dataclass

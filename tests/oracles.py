@@ -12,10 +12,13 @@ same order of operations, so the two agree bit for bit.
 Opposite-parity pairs come from a greedy search over the parity sequence
 instead of indexing the even and odd states.  The Wigner grid kernel is
 checked byte for byte against its earlier form, which runs the Laguerre
-recurrence over every grid point with a complex accumulator.
+recurrence over every grid point with a complex accumulator.  The exact
+coefficient ring is checked part for part against its earlier form with four
+``Fraction`` parts.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -222,3 +225,57 @@ def wigner_laguerre_reference(state, xg, pg):
             acc = acc + cvec[m] * g
         out += (2.0 if d else 1.0) * np.real(acc * np.exp(1j * d * phi))
     return out / np.pi
+
+
+def _fr(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):
+        return Fraction(x).limit_denominator(10**12)
+    return Fraction(x)
+
+
+@dataclass(frozen=True)
+class FractionCoeff:
+    """c = (ur + i*ui) + (vr + i*vi) * sqrt(2*lambda), four ``Fraction`` parts,
+    with the full Q(i)[sqrt(2 lambda)] arithmetic in every operation."""
+
+    ur: Fraction = Fraction(0)
+    ui: Fraction = Fraction(0)
+    vr: Fraction = Fraction(0)
+    vi: Fraction = Fraction(0)
+
+    @classmethod
+    def of(cls, re=0, im=0, s_re=0, s_im=0) -> "FractionCoeff":
+        return cls(_fr(re), _fr(im), _fr(s_re), _fr(s_im))
+
+    def is_zero(self) -> bool:
+        return not (self.ur or self.ui or self.vr or self.vi)
+
+    def __add__(self, o):
+        return FractionCoeff(self.ur + o.ur, self.ui + o.ui, self.vr + o.vr, self.vi + o.vi)
+
+    def __sub__(self, o):
+        return FractionCoeff(self.ur - o.ur, self.ui - o.ui, self.vr - o.vr, self.vi - o.vi)
+
+    def __neg__(self):
+        return FractionCoeff(-self.ur, -self.ui, -self.vr, -self.vi)
+
+    def mul(self, o, two_lam: Fraction):
+        ur = self.ur * o.ur - self.ui * o.ui + two_lam * (self.vr * o.vr - self.vi * o.vi)
+        ui = self.ur * o.ui + self.ui * o.ur + two_lam * (self.vr * o.vi + self.vi * o.vr)
+        vr = self.ur * o.vr - self.ui * o.vi + self.vr * o.ur - self.vi * o.ui
+        vi = self.ur * o.vi + self.ui * o.vr + self.vr * o.ui + self.vi * o.ur
+        return FractionCoeff(ur, ui, vr, vi)
+
+    def scale(self, re, im=0):
+        re, im = _fr(re), _fr(im)
+        return FractionCoeff(self.ur * re - self.ui * im, self.ur * im + self.ui * re,
+                             self.vr * re - self.vi * im, self.vr * im + self.vi * re)
+
+    def conj(self):
+        return FractionCoeff(self.ur, -self.ui, self.vr, -self.vi)
+
+    def to_complex(self, lam: float) -> complex:
+        s = (2.0 * lam) ** 0.5
+        return complex(self.ur + s * self.vr, self.ui + s * self.vi)

@@ -162,6 +162,23 @@ def test_error_rows_and_exit_code_3(tmp_path):
     assert rows[2][i_wkb] != "nan"
 
 
+def test_subnormal_eps2_semiclassical_overflow_is_an_error_row(tmp_path):
+    # delta / (2 eps2) overflows, so the WKB, EBK and area cells are not finite
+    cfg = {"fixed": {"eps2": 5e-324, "dim": 20},
+           "axes": [{"name": "delta", "start": 1.0, "stop": 1.5, "count": 2}]}
+    out = tmp_path / "t.csv"
+    rc = cli.main(["splitting", "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(out)])
+    assert rc == 3
+    header, rows = read_csv(out)
+    assert len(rows) == 2
+    for row in rows:
+        cells = dict(zip(header, row))
+        assert cells["error"] == "wkb-domain"
+        assert cells["de_wkb"] == "nan" and cells["n_ebk"] == cells["area"] == "inf"
+        assert float(cells["abs_de"]) > 0       # the quantum cells are still written
+
+
 def test_spectrum_reproduces_kerr_lines(tmp_path):
     cfg = {
         "fixed": {"eps2": 0.0, "dim": 40},

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -18,8 +19,8 @@ from kerrcat.phasespace.poly import (NormalOrderedOperatorPoly,
                                      moyal_bracket, p_var, poisson_bracket,
                                      star_commutator, star_product, star_term,
                                      wigner_transform_operator, x_var)
-from oracles import (exp_mixed_deriv_series, star_product_series,
-                     star_term_series)
+from oracles import (FractionCoeff, exp_mixed_deriv_series,
+                     star_product_series, star_term_series)
 
 HALF = Fraction(1, 2)
 
@@ -386,3 +387,50 @@ def test_mccoy_maps_match_exp_series(data, lam):
     assert mccoy_quantize(f) == mccoy_quantize(fa) == expected
     assert wigner_transform_operator(read_normal_ordered(fa)) == exp_mixed_deriv_series(fa, -HALF)
     assert mccoy_x_ordered_symbol(f) == exp_mixed_deriv_series(f, 0, -Fraction(lam) / 2)
+
+
+# -- integer-numerator coefficients against the Fraction oracle ----------------------
+
+_PART = st.one_of(st.just(0), st.fractions(-7, 7, max_denominator=6))
+_PARTS = st.tuples(_PART, _PART, _PART, _PART)
+
+
+def _same(c: Coeff, o: FractionCoeff) -> bool:
+    """Equal part for part, and in lowest terms over a positive denominator."""
+    return (c.den > 0 and math.gcd(c.re, c.im, c.s_re, c.s_im, c.den) == 1
+            and (Fraction(c.re, c.den), Fraction(c.im, c.den), Fraction(c.s_re, c.den),
+                 Fraction(c.s_im, c.den)) == (o.ur, o.ui, o.vr, o.vi))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_PARTS, _PARTS, st.sampled_from((1, Fraction(1, 3), Fraction(2, 5))),
+       st.integers(-6, 6), st.fractions(-3, 3, max_denominator=5),
+       st.fractions(-3, 3, max_denominator=5),
+       st.floats(-4, 4, allow_nan=False, allow_infinity=False))
+def test_coeff_matches_fraction_oracle(p1, p2, lam, k, re, im, x):
+    c, d = Coeff.of(*p1), Coeff.of(*p2)
+    oc, od = FractionCoeff.of(*p1), FractionCoeff.of(*p2)
+    assert _same(c, oc) and _same(d, od)
+    assert _same(c + d, oc + od) and _same(c - d, oc - od) and _same(-c, -oc)
+    assert _same(c.mul(d, 2 * lam), oc.mul(od, 2 * lam))
+    assert _same(c.scale(k), oc.scale(k))
+    assert _same(c.scale(re, im), oc.scale(re, im))
+    assert _same(c.scale(x), oc.scale(x))
+    assert _same(Coeff.of(x, -x, x / 3), FractionCoeff.of(x, -x, x / 3))
+    assert _same(c.conj(), oc.conj())
+    assert c.is_zero() == oc.is_zero()
+    assert (c - c).is_zero() and (c - c) == Coeff()
+    assert c.to_complex(float(lam)) == oc.to_complex(float(lam))
+    # equal values built two ways compare and hash equal
+    for one, other in ((c.mul(d, 2 * lam), d.mul(c, 2 * lam)), ((c + d) - d, c),
+                       (c.scale(re).scale(2), c.scale(2 * re))):
+        assert one == other and hash(one) == hash(other)
+
+
+def test_coeff_equal_values_hash_equal():
+    half = Coeff.of(Fraction(2, 4))
+    assert half == Coeff.of(Fraction(1, 2)) == Coeff(1, 0, 0, 0, 2) == Coeff(3, 0, 0, 0, 6)
+    assert hash(half) == hash(Coeff.of(Fraction(1, 2)))
+    assert {half: 1}[Coeff.of(1).scale(Fraction(1, 2))] == 1
+    assert Coeff.of(0, 0, Fraction(-4, 6)) == Coeff(0, 0, -2, 0, 3)
+    assert Coeff(0, 0, 0, 0, 7) == Coeff() and Coeff().den == 1
