@@ -267,9 +267,9 @@ def _splitting_point(p: HamiltonianParams, over) -> list:
     n_ebk = semiclassical.ebk_levels_exact(p.delta, p.eps2, p.kerr)
     try:
         de_wkb = semiclassical.wkb_splitting(p.delta, p.eps2, p.kerr)
-    except ValueError:
+    except (ValueError, OverflowError):
         de_wkb = float("nan")
-    # outside the WKB domain, or a closed form overflowed (a subnormal eps2)
+    # outside the WKB domain, or a closed form overflowed (a tiny eps2)
     semi = (de_wkb, n_ebk, geo.barrier_height, geo.separatrix_area)
     err = "" if all(map(math.isfinite, semi)) else "wkb-domain"
     ts = spectra.tunnel_splitting(p)

@@ -5,9 +5,9 @@ route, and one observer samples them all:
 
 * ``unitary`` - closed system (kappa = 0), exact eigenbasis phases
   exp(-i w dt) per sample interval;
-* ``rk4``     - fixed-step RK4 of the Lindblad equation with the effective
-  drift -iH(t) + damping under step-halving control; an open ramp protocol
-  uses it with a time-dependent H;
+* ``rk4``     - fixed-step RK4 of vec rho under the Fock-basis Liouvillian
+  with step-halving control; an open ramp protocol uses it with L(t),
+  linear in delta(t) and eps2(t);
 * ``cf4-protocol`` - a closed ramp protocol, pure or mixed, under the same
   control: fourth-order commutator-free Magnus steps, two exponentials of
   combinations of H at the Gauss nodes t + (1/2 -+ sqrt(3)/6) dt per step;
@@ -18,15 +18,16 @@ route, and one observer samples them all:
 Photon parity is a weak symmetry of the Lindbladian: it couples no element
 rho_mn with m + n even to one with m + n odd (in the eigenbasis of H, none
 with equal parities i, j to one with opposite ones).  One builder,
-``_sector``, assembles the sparse Kronecker-form Liouvillian in a given basis
-and cuts one of these two sectors from it: ``expm`` takes both in the
-eigenbasis, ``tx_lifetime`` the odd one in the Fock basis.  ``tx_lifetime``
-does not step in time: T_X = -1 / Re lambda_1, lambda_1 the eigenvalue
-nearest 0 of the sector m + n odd, where the well signal lives; H is never
-diagonalised.  T_X at dim and dim + 12 must agree to 1e-6 relative, else
-``TruncationRiskError``: this certifies the truncation.
-``rank``, ``initial_state``, ``n_samples``, ``n_pairs`` and ``method`` do
-not enter T_X.
+``_liouvillian``, assembles the sparse Kronecker-form Liouvillian in a given
+basis: ``rk4``, the open ramp and ``lindblad_rhs`` apply it in the Fock
+basis, and ``_sector`` cuts one of these two sectors from it, both in the
+eigenbasis for ``expm`` and the odd one in the Fock basis for
+``tx_lifetime``.  ``tx_lifetime`` does not step in time: T_X = -1 / Re
+lambda_1, lambda_1 the eigenvalue nearest 0 of the sector m + n odd, where
+the well signal lives; H is never diagonalised.  T_X at dim and dim + 12
+must agree to 1e-6 relative, else ``TruncationRiskError``: this certifies
+the truncation.  ``rank``, ``initial_state``, ``n_samples``, ``n_pairs``
+and ``method`` do not enter T_X.
 """
 
 from __future__ import annotations
@@ -127,8 +128,9 @@ def well_signal(rho: np.ndarray, es: EigenSystem, n_pairs: int = 1) -> float:
 
 
 class _System:
-    """Cached operators for one Lindblad configuration; the eigensystem and
-    the well-signal operator are built on first use."""
+    """Cached operators for one Lindblad configuration: H and a in the Fock
+    basis; the Liouvillian, the eigensystem and the well-signal operator are
+    built on first use."""
 
     def __init__(self, cfg: LindbladConfig):
         self.cfg = cfg
@@ -136,15 +138,11 @@ class _System:
         self.dim = p.dim
         self.h = build_hamiltonian(p)
         self.a = annihilation(p.dim)
-        # dissipator: scaled jumps sqrt(rate) O and the anti-Hermitian part
-        # -(1/2) sum rate O^dag O of the effective drift -iH + damping
-        self.rates, self.jump_scaled = [], []
-        self.damping = np.zeros((self.dim, self.dim))
-        for rate, op in _jumps(cfg, self.a):
-            self.rates.append(rate)
-            self.damping -= 0.5 * rate * (op.T @ op)
-            self.jump_scaled.append((np.sqrt(rate) * op).astype(complex))
-        self.h_eff = -1j * self.h + self.damping
+
+    @cached_property
+    def liou(self) -> sp.csr_matrix:
+        """The Fock-basis Liouvillian of row-major vec rho."""
+        return _liouvillian(self.h, self.a, self.cfg)
 
     @cached_property
     def es(self) -> EigenSystem:
@@ -182,24 +180,12 @@ class _System:
 
 
 def lindblad_rhs(rho: np.ndarray, cfg: LindbladConfig) -> np.ndarray:
-    """d rho / dt = -i [H, rho] + kappa(1+n_th) D[a] rho + kappa n_th D[a^dag] rho.
-
-    ``rho`` must be Hermitian (the anticommutator part is folded into an
-    effective drift that assumes it).
-    """
+    """d rho / dt = -i [H, rho] + kappa(1+n_th) D[a] rho + kappa n_th D[a^dag] rho,
+    for any square ``rho`` of the model's dim."""
     sys = _System(cfg)
-    return _rhs(rho, sys, sys.h_eff)
-
-
-def _rhs(rho: np.ndarray, sys: _System, drift: np.ndarray) -> np.ndarray:
-    """drift rho + (drift rho)^dag + sum J rho J^dag for Hermitian rho."""
     if rho.shape != (sys.dim, sys.dim):
         raise ValueError("density matrix dimension mismatch")
-    hr = drift @ rho
-    out = hr + hr.conj().T
-    for op in sys.jump_scaled:
-        out += (op @ rho) @ op.conj().T
-    return out
+    return (sys.liou @ rho.ravel()).reshape(rho.shape)
 
 
 def _density(state: np.ndarray) -> np.ndarray:
@@ -241,7 +227,7 @@ def evolve(cfg: LindbladConfig) -> Trajectory:
         return _traj_from_samples(sys, rows, rho, {"method": "unitary"})
     if method == "rk4":
         return _step_controlled(sys, sys.initial_rho(),
-                                _rk4_step(sys, lambda t: sys.h_eff),
+                                _rk4_step(lambda v, t: sys.liou @ v),
                                 _stable_dt(sys), "rk4")
     if method == "expm":
         return _evolve_expm(sys)
@@ -285,7 +271,7 @@ def _unitary(state, v, ph):
 
 def _stable_dt(sys: _System) -> float:
     span = float(sys.es.eigenvalues[0] - sys.es.eigenvalues[-1])
-    rate = sum(sys.rates) * sys.dim
+    rate = sum(rate for rate, _ in _jumps(sys.cfg, sys.a)) * sys.dim
     return 2.0 / max(span + rate, 1e-12)
 
 
@@ -315,16 +301,16 @@ def _step_controlled(sys: _System, state0, step, dt, method) -> Trajectory:
     raise IntegrationError(f"{method} step control did not converge in 12 halvings")
 
 
-def _rk4_step(sys: _System, drift):
-    """RK4 step of the Lindblad equation with effective drift ``drift(t)``
-    = -iH(t) + damping."""
+def _rk4_step(apply):
+    """RK4 step of a density matrix rho under d vec rho / dt = ``apply(vec
+    rho, t)``, vec row-major; the result is symmetrised to be Hermitian."""
     def step(rho, t, dt):
-        d_mid = drift(t + dt / 2)
-        k1 = _rhs(rho, sys, drift(t))
-        k2 = _rhs(rho + 0.5 * dt * k1, sys, d_mid)
-        k3 = _rhs(rho + 0.5 * dt * k2, sys, d_mid)
-        k4 = _rhs(rho + dt * k3, sys, drift(t + dt))
-        rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        v = rho.ravel()
+        k1 = apply(v, t)
+        k2 = apply(v + 0.5 * dt * k1, t + dt / 2)
+        k3 = apply(v + 0.5 * dt * k2, t + dt / 2)
+        k4 = apply(v + dt * k3, t + dt)
+        rho = (v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)).reshape(rho.shape)
         return 0.5 * (rho + rho.conj().T)
     return step
 
@@ -337,13 +323,9 @@ def _jumps(cfg: LindbladConfig, a: np.ndarray) -> list:
             if rate > 0]
 
 
-def _sector(h: np.ndarray, a: np.ndarray, cfg: LindbladConfig, par, odd: bool):
-    """Index pairs (i, j) with parities par_i != par_j (``odd``) or
-    par_i == par_j, in row-major order, and the CSR block over them of the
-    Liouvillian in the basis where H is ``h`` and the loss jump is ``a``
-    (row-major rho, vec(A rho B) = kron(A, B^T) vec rho).  Parity is a weak
-    symmetry, so the two sectors are the whole Liouvillian: it couples no
-    even pair to an odd one."""
+def _liouvillian(h: np.ndarray, a: np.ndarray, cfg: LindbladConfig):
+    """The CSR Liouvillian in the basis where H is ``h`` and the loss jump is
+    ``a``, acting on row-major vec rho: vec(A rho B) = kron(A, B^T) vec rho."""
     eye = sp.identity(len(h), format="csr")
 
     def kron(x, y):
@@ -355,9 +337,18 @@ def _sector(h: np.ndarray, a: np.ndarray, cfg: LindbladConfig, par, odd: bool):
         liou = liou + rate * (kron(op, op.conj())
                               - 0.5 * kron(od_o, eye)
                               - 0.5 * kron(eye, od_o.T))
+    return liou
+
+
+def _sector(h: np.ndarray, a: np.ndarray, cfg: LindbladConfig, par, odd: bool):
+    """Index pairs (i, j) with parities par_i != par_j (``odd``) or
+    par_i == par_j, in row-major order, and the CSR block over them of
+    ``_liouvillian(h, a, cfg)``.  Parity is a weak symmetry, so the two
+    sectors are the whole Liouvillian: it couples no even pair to an odd
+    one."""
     pairs = np.nonzero((par[:, None] != par[None, :]) == odd)
     index = np.ravel_multi_index(pairs, (len(par), len(par)))
-    return pairs, liou[index][:, index]
+    return pairs, _liouvillian(h, a, cfg)[index][:, index]
 
 
 def _evolve_expm(sys: _System) -> Trajectory:
@@ -456,16 +447,15 @@ class TxEstimate:
     t_x: float
     lower_bound: bool          # True when no decay was resolved by t_final
     rank: int
-    trace_error: float
 
 
 def tx_lifetime(cfg: LindbladConfig) -> TxEstimate:
     """Well-switching lifetime T_X from the odd Fock sector, certified
     against dim + 12 (see the module docstring).
 
-    ``rank`` is dim and ``trace_error`` 0: the sector spans the whole
-    truncated space.  When ``t_final`` < T_X ln(1/0.95) no decay is resolved
-    by ``t_final``, and the estimate is the lower bound t_x = t_final.
+    ``rank`` is dim: the sector spans the whole truncated space.  When
+    ``t_final`` < T_X ln(1/0.95) no decay is resolved by ``t_final``, and
+    the estimate is the lower bound t_x = t_final.
     """
     if cfg.kappa <= 0:
         raise ValueError("tx_lifetime requires kappa > 0")
@@ -475,8 +465,8 @@ def tx_lifetime(cfg: LindbladConfig) -> TxEstimate:
         raise TruncationRiskError(
             f"T_X at dim {dim} and dim {dim + 12} differ by more than 1e-6")
     if cfg.t_final < t_x * np.log(1 / 0.95):
-        return TxEstimate(float(cfg.t_final), True, dim, 0.0)
-    return TxEstimate(float(t_x), False, dim, 0.0)
+        return TxEstimate(float(cfg.t_final), True, dim)
+    return TxEstimate(float(t_x), False, dim)
 
 
 def _odd_sector_tx(cfg: LindbladConfig, dim: int) -> float:
@@ -544,7 +534,9 @@ def run_protocol(protocol: RampProtocol, cfg: LindbladConfig) -> Trajectory:
 
     The initial state tags refer to the protocol's starting parameters.  A
     closed system (kappa = 0), pure or mixed, takes fourth-order
-    commutator-free Magnus steps (``_cf4_step``); an open one takes RK4.
+    commutator-free Magnus steps (``_cf4_step``); an open one takes RK4 on
+    L(t) = L_K + delta(t) C_N + eps2(t) C_D, the ``_liouvillian`` of the
+    Kerr term with the dissipator and of N and a^dag^2 + a^2 without it.
     Both run under the same step-halving control.
     """
     d0, e0 = protocol.values_at(0.0)
@@ -563,8 +555,15 @@ def run_protocol(protocol: RampProtocol, cfg: LindbladConfig) -> Trajectory:
         return _step_controlled(sys, sys.initial_state(), _cf4_step(h_at),
                                 min(0.1, protocol.total_duration / 50.0),
                                 "cf4-protocol")
-    return _step_controlled(sys, sys.initial_rho(),
-                            _rk4_step(sys, lambda t: -1j * h_at(t) + sys.damping),
+    closed = replace(sys.cfg, kappa=0.0)
+    l_k, c_n, c_d = (_liouvillian(h, sys.a, c) for h, c in
+                     ((kerr_term, sys.cfg), (num, closed), (drive, closed)))
+
+    def apply(v, t):
+        d, e = protocol.values_at(t)
+        return l_k @ v + d * (c_n @ v) + e * (c_d @ v)
+
+    return _step_controlled(sys, sys.initial_rho(), _rk4_step(apply),
                             _stable_dt(sys), "rk4-protocol")
 
 

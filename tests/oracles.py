@@ -7,7 +7,7 @@ displaced parity, separatrix areas via adaptive quadrature instead of the
 closed forms, and the exact phase-space algebra as the literal
 bidifferential series built from polynomial derivatives and pointwise
 products instead of the per-monomial-pair kernel.  The Liouvillian is
-written with dense ``np.kron`` instead of the sparse sector builder, in the
+written with dense ``np.kron`` instead of the sparse builder, in the
 same order of operations, so the two agree bit for bit.
 Opposite-parity pairs come from a greedy search over the parity sequence
 instead of indexing the even and odd states.  The Wigner grid kernel is

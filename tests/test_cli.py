@@ -179,6 +179,23 @@ def test_subnormal_eps2_semiclassical_overflow_is_an_error_row(tmp_path):
         assert float(cells["abs_de"]) > 0       # the quantum cells are still written
 
 
+def test_tiny_eps2_wkb_overflow_error_is_an_error_row(tmp_path):
+    # (1 + delta / (2 eps2)) ** 1.25 raises OverflowError in wkb_splitting
+    cfg = {"fixed": {"eps2": 1e-250, "dim": 20},
+           "axes": [{"name": "delta", "start": 1.0, "stop": 1.5, "count": 2}]}
+    out = tmp_path / "t.csv"
+    rc = cli.main(["splitting", "--config", write_cfg(tmp_path, cfg),
+                   "--out", str(out)])
+    assert rc == 3
+    header, rows = read_csv(out)
+    assert len(rows) == 2
+    for row in rows:
+        cells = dict(zip(header, row))
+        assert cells["error"] == "wkb-domain"
+        assert cells["de_wkb"] == "nan"
+        assert float(cells["abs_de"]) > 0 and cells["de_signed"] != ""
+
+
 def test_spectrum_reproduces_kerr_lines(tmp_path):
     cfg = {
         "fixed": {"eps2": 0.0, "dim": 40},
