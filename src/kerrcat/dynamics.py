@@ -1,16 +1,20 @@
 """Closed- and open-system time evolution of the squeeze-driven Kerr oscillator.
 
 One sampling loop (``_run``) serves every route, with one step kernel per
-route, and one observer samples them all:
+route that advances the state by one whole sample interval, and one
+observer samples them all:
 
 * ``unitary`` - closed system (kappa = 0), exact eigenbasis phases
-  exp(-i w dt) per sample interval;
+  exp(-i w tau) per sample interval tau;
 * ``rk4``     - fixed-step RK4 of vec rho under the Fock-basis Liouvillian
   with step-halving control; an open ramp protocol uses it with L(t),
   linear in delta(t) and eps2(t);
 * ``cf4-protocol`` - a closed ramp protocol, pure or mixed, under the same
   control: fourth-order commutator-free Magnus steps, two exponentials of
   combinations of H at the Gauss nodes t + (1/2 -+ sqrt(3)/6) dt per step;
+  H(t) commutes with photon parity, so the exponents of up to
+  ``_CF4_CHUNK`` steps are diagonalised together, one stacked ``eigh`` per
+  parity block (``spectra._parity_eigh``);
 * ``expm``    - exact stepping with exp(L tau) of the Liouvillian projected
   onto the top eigenvectors of H, one propagator per parity block; the rank
   loop in ``_evolve_expm`` certifies the basis, not the truncation.
@@ -44,7 +48,8 @@ from scipy.optimize import curve_fit
 from .errors import IntegrationError, TruncationRiskError
 from .fock import HamiltonianParams, annihilation, build_hamiltonian, quadrature_x
 from .semiclassical import ebk_bound_state_count
-from .spectra import EigenSystem, eigensystem, _pair_up, _wells
+from .spectra import (EigenSystem, eigensystem, _commutes_with_parity,
+                      _pair_up, _parity_eigh, _wells)
 from .tables import SweepResult
 
 __all__ = [
@@ -223,7 +228,8 @@ def evolve(cfg: LindbladConfig) -> Trajectory:
             raise ValueError("unitary method requires kappa = 0")
         w, v = sys.es.eigenvalues, sys.es.eigenvectors
         rows, rho = _run(sys, sys.initial_state(),
-                         lambda state, t, dt: _unitary(state, v, np.exp(-1j * dt * w)))
+                         lambda state, k, dt, per:
+                         _unitary(state, v, np.exp(-1j * (per * dt) * w)))
         return _traj_from_samples(sys, rows, rho, {"method": "unitary"})
     if method == "rk4":
         return _step_controlled(sys, sys.initial_rho(),
@@ -245,18 +251,19 @@ def _run(sys: _System, state, step, per: int = 1, ops=None):
     """The one sampling loop of every route: (observable rows at the
     ``cfg.n_samples`` sample times, final rho).
 
-    Between samples it takes ``per`` equal steps ``state = step(state, t,
-    dt)`` with dt = t_final / (per (n_samples - 1)), so samples land on exact
-    steps.  ``state`` is a vector psi or a density matrix; it is observed
-    with ``sys.ops``, or with ``ops`` when given.
+    Sample interval i is one kernel call ``state = step(state, k, dt,
+    per)``: ``per`` equal steps of dt = t_final / (per (n_samples - 1)), the
+    first one step k = i per, so that step k + j starts at exactly (k + j)
+    dt and samples land on exact steps.  ``state`` is a vector psi or a
+    density matrix; it is observed with ``sys.ops``, or with ``ops`` when
+    given.
     """
     ops = sys.ops if ops is None else ops
     n = sys.cfg.n_samples
     dt = sys.cfg.t_final / (per * (n - 1))
     rows = [_observe(state, ops)]
     for i in range(n - 1):
-        for j in range(per):
-            state = step(state, (i * per + j) * dt, dt)
+        state = step(state, i * per, dt, per)
         rows.append(_observe(state, ops))
     return rows, _density(state)
 
@@ -302,16 +309,20 @@ def _step_controlled(sys: _System, state0, step, dt, method) -> Trajectory:
 
 
 def _rk4_step(apply):
-    """RK4 step of a density matrix rho under d vec rho / dt = ``apply(vec
-    rho, t)``, vec row-major; the result is symmetrised to be Hermitian."""
-    def step(rho, t, dt):
-        v = rho.ravel()
-        k1 = apply(v, t)
-        k2 = apply(v + 0.5 * dt * k1, t + dt / 2)
-        k3 = apply(v + 0.5 * dt * k2, t + dt / 2)
-        k4 = apply(v + dt * k3, t + dt)
-        rho = (v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)).reshape(rho.shape)
-        return 0.5 * (rho + rho.conj().T)
+    """RK4 steps k ... k + per - 1 of a density matrix rho under d vec rho /
+    dt = ``apply(vec rho, t)``, vec row-major; each result is symmetrised to
+    be Hermitian."""
+    def step(rho, k, dt, per):
+        for j in range(per):
+            t = (k + j) * dt
+            v = rho.ravel()
+            k1 = apply(v, t)
+            k2 = apply(v + 0.5 * dt * k1, t + dt / 2)
+            k3 = apply(v + 0.5 * dt * k2, t + dt / 2)
+            k4 = apply(v + dt * k3, t + dt)
+            rho = (v + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)).reshape(rho.shape)
+            rho = 0.5 * (rho + rho.conj().T)
+        return rho
     return step
 
 
@@ -372,7 +383,7 @@ def _evolve_expm(sys: _System) -> Trajectory:
                      in (_sector(h_r, a_r, sys.cfg, sys.es.parities[:rank], odd)
                          for odd in (False, True))]
 
-            def step(rho, t, dt):
+            def step(rho, k, dt, per):      # per = 1: one propagator step
                 for pairs, prop in props:
                     rho[pairs] = prop @ rho[pairs]
                 return rho
@@ -572,22 +583,33 @@ def run_protocol(protocol: RampProtocol, cfg: LindbladConfig) -> Trajectory:
 # Alvermann & Fehske, J. Comput. Phys. 230, 5930 (2011))
 _CF4_NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
 _CF4_A, _CF4_B = (3.0 - 2.0 * np.sqrt(3.0)) / 12.0, (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
+# steps whose exponents are diagonalised together: bounds the stacks at
+# 2 _CF4_CHUNK dim x dim matrices whatever the steps per sample interval
+_CF4_CHUNK = 64
 
 
 def _cf4_step(h_at):
-    """Closed step of a vector psi or a density matrix rho under the
-    real-symmetric H(t) = ``h_at(t)``, fourth order in dt.
+    """Closed steps k ... k + per - 1 of a vector psi or a density matrix rho
+    under the real-symmetric H(t) = ``h_at(t)``, fourth order in dt.
 
     With H1, H2 = H at the Gauss nodes t + (1/2 -+ sqrt(3)/6) dt, one step
     applies exp(-i dt (b H1 + a H2)) and then exp(-i dt (a H1 + b H2)),
-    a, b = (3 -+ 2 sqrt(3)) / 12, each from one ``eigh`` (``_unitary``).
-    The weights of each exponential sum to 1/2, so the step is exact when H
-    is constant.
+    a, b = (3 -+ 2 sqrt(3)) / 12.  The weights of each exponential sum to
+    1/2, so the step is exact when H is constant.  The 2 m exponents of m <=
+    ``_CF4_CHUNK`` steps are diagonalised at once, one stacked ``eigh`` per
+    parity block (``_parity_eigh``), and applied in order (``_unitary``).
+    An H(t) that couples even and odd Fock states raises ``ValueError``.
     """
-    def step(state, t, dt):
-        h1, h2 = (h_at(t + c * dt) for c in _CF4_NODES)
-        for h in (_CF4_B * h1 + _CF4_A * h2, _CF4_A * h1 + _CF4_B * h2):
-            w, v = np.linalg.eigh(h)
-            state = _unitary(state, v, np.exp(-1j * dt * w))
+    def step(state, k, dt, per):
+        for j0 in range(0, per, _CF4_CHUNK):
+            ts = [(k + j) * dt for j in range(j0, min(per, j0 + _CF4_CHUNK))]
+            h1, h2 = (np.array([h_at(t + c * dt) for t in ts]) for c in _CF4_NODES)
+            hs = np.stack((_CF4_B * h1 + _CF4_A * h2, _CF4_A * h1 + _CF4_B * h2),
+                          axis=1).reshape(-1, *h1.shape[1:])
+            if not _commutes_with_parity(hs, 0.0):
+                raise ValueError("H(t) couples even and odd Fock states")
+            w, v, _ = _parity_eigh(hs)
+            for vk, ph in zip(v, np.exp(-1j * dt * w)):
+                state = _unitary(state, vk, ph)
         return state
     return step

@@ -5,7 +5,7 @@ from .poly import (NormalOrderedOperatorPoly, PhaseSpacePolynomial,
                    mccoy_x_ordered_symbol, moyal_bracket, p_var,
                    poisson_bracket, star_commutator, star_product, star_term,
                    wigner_transform_operator, x_var)
-from .wigner import WignerGrid, displaced_parity_point, wigner_function
+from .wigner import WignerGrid, wigner_function
 
 __all__ = [
     "PhaseSpacePolynomial", "NormalOrderedOperatorPoly",
@@ -16,5 +16,5 @@ __all__ = [
     "wigner_transform_operator", "convert_basis",
     "effective_hamiltonian_surface", "kerr_lamb_shift_check",
     "lindblad_phase_space_identity",
-    "WignerGrid", "wigner_function", "displaced_parity_point",
+    "WignerGrid", "wigner_function",
 ]

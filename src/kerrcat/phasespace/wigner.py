@@ -7,8 +7,7 @@ displacement matrix elements in scaled generalized-Laguerre functions and
 runs one three-term recurrence for every Fock-index offset d, started from
 G_{-1} = 0, over the grid's distinct values of u = 2(x^2 + p^2) only; the
 sums are scattered back onto the grid for the angular factor e^{i d phi}.
-There is no quadrature error and no matrix exponential per point; the
-direct matrix-exponential evaluation is kept for point-wise cross checks.
+There is no quadrature error and no matrix exponential per point.
 Grids are written through :mod:`kerrcat.tables`.
 """
 
@@ -20,11 +19,9 @@ import numpy as np
 from scipy.special import gammaln
 
 from ..errors import TruncationRiskError
-from ..fock import displacement_operator, parity_operator
 from ..tables import format_sig, write_csv, write_json
 
-__all__ = ["WignerGrid", "wigner_function", "displaced_parity_point",
-           "default_extent"]
+__all__ = ["WignerGrid", "wigner_function", "default_extent"]
 
 
 @dataclass
@@ -150,17 +147,3 @@ def _wigner_laguerre(state: np.ndarray, xg: np.ndarray, pg: np.ndarray) -> np.nd
             acc += np.multiply(c[m], g, out=term)
         out += (2.0 if d else 1.0) * np.real(acc[inv] * np.exp(1j * d * phi))
     return out / np.pi
-
-
-def displaced_parity_point(state: np.ndarray, x: float, p: float) -> float:
-    """Literal (1/pi) <psi| D(alpha) Pi D(alpha)^dag |psi> at one point.
-
-    Slow (matrix exponential); used to cross-check the grid evaluator.
-    """
-    state = np.asarray(state, dtype=complex)
-    dim = len(state)
-    alpha = (x + 1j * p) / np.sqrt(2.0)
-    d_op = displacement_operator(alpha, dim)
-    pi_op = parity_operator(dim)
-    val = state.conj() @ (d_op @ (pi_op @ (d_op.conj().T @ state)))
-    return float(np.real(val)) / np.pi

@@ -12,7 +12,9 @@ carries an exact parity and degenerate even/odd pairs stay resolved.
 * :func:`eigensystem` takes any Hermitian matrix and returns eigenvectors
   too, by dense solves of the parity blocks (or of the whole matrix when it
   does not commute with parity).  Use it where states are needed: dynamics,
-  Wigner functions, localized well states.
+  Wigner functions, localized well states.  Its block solver,
+  ``_parity_eigh``, takes a stack of matrices too: the closed-ramp stepper
+  in :mod:`kerrcat.dynamics` solves all its exponents through it.
 """
 
 from __future__ import annotations
@@ -72,9 +74,35 @@ class TunnelSplitting:
 
 
 def _commutes_with_parity(h: np.ndarray, tol: float) -> bool:
-    """True when every even<->odd Fock element (i + j odd) is within ``tol``."""
-    return max(np.abs(h[0::2, 1::2]).max(initial=0.0),
-               np.abs(h[1::2, 0::2]).max(initial=0.0)) <= tol
+    """True when every even<->odd Fock element (i + j odd) of a matrix, or of
+    every matrix of a stack (..., n, n), is within ``tol``."""
+    return max(np.abs(h[..., 0::2, 1::2]).max(initial=0.0),
+               np.abs(h[..., 1::2, 0::2]).max(initial=0.0)) <= tol
+
+
+def _parity_eigh(hs: np.ndarray):
+    """Eigenpairs of a parity-commuting Hermitian matrix, or of a stack of
+    them (..., n, n), from one ``np.linalg.eigh`` call per parity block.
+
+    Returns the eigenvalues (..., n), the even block's in ascending order and
+    then the odd block's; the eigenvectors (..., n, n) in the same column
+    order, exactly 0 on the other parity's indices (complex for complex
+    input, float otherwise); and the parity label (n,) of each column.  The
+    even<->odd elements are not read: callers check them.
+    """
+    n = hs.shape[-1]
+    vals = np.empty(hs.shape[:-1])
+    pars = np.empty(n, dtype=int)
+    vecs = np.zeros(hs.shape, dtype=complex if np.iscomplexobj(hs) else float)
+    pos = 0
+    for start, par in ((0, 1), (1, -1)):
+        w, v = np.linalg.eigh(hs[..., start::2, start::2])
+        k = w.shape[-1]
+        vals[..., pos:pos + k] = w
+        pars[pos:pos + k] = par
+        vecs[..., start::2, pos:pos + k] = v
+        pos += k
+    return vals, vecs, pars
 
 
 def eigensystem(h: np.ndarray, hermitian_tol: float = 1e-10) -> EigenSystem:
@@ -94,18 +122,7 @@ def eigensystem(h: np.ndarray, hermitian_tol: float = 1e-10) -> EigenSystem:
     if not _commutes_with_parity(h, 1e-13 * scale):
         w, v = np.linalg.eigh(h)
         return EigenSystem(w[::-1], None, v[:, ::-1], dim)
-
-    vals = np.empty(dim)
-    pars = np.empty(dim, dtype=int)
-    vecs = np.zeros((dim, dim), dtype=complex if np.iscomplexobj(h) else float)
-    pos = 0
-    for start, par in ((0, 1), (1, -1)):
-        w, v = np.linalg.eigh(h[start::2, start::2])
-        k = len(w)
-        vals[pos:pos + k] = w
-        pars[pos:pos + k] = par
-        vecs[start::2, pos:pos + k] = v
-        pos += k
+    vals, vecs, pars = _parity_eigh(h)
     energies, order = _descending(vals, pars)
     return EigenSystem(energies, pars[order], vecs[:, order], dim)
 

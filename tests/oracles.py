@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they verify: eigenvalues via cyclic
 Jacobi rotations or characteristic-polynomial companion roots instead of
 LAPACK, Wigner values via the position-basis quadrature integral instead of
-displaced parity, separatrix areas via adaptive quadrature instead of the
+displaced parity, or via the literal displaced parity operator with a matrix
+exponential instead of the Laguerre recurrence, separatrix areas via adaptive quadrature instead of the
 closed forms, and the exact phase-space algebra as the literal
 bidifferential series built from polynomial derivatives and pointwise
 products instead of the per-monomial-pair kernel.  The Liouvillian is
@@ -14,7 +15,9 @@ instead of indexing the even and odd states.  The Wigner grid kernel is
 checked byte for byte against its earlier form, which runs the Laguerre
 recurrence over every grid point with a complex accumulator.  The exact
 coefficient ring is checked part for part against its earlier form with four
-``Fraction`` parts.
+``Fraction`` parts.  The closed-ramp Magnus stepper, which diagonalises the
+exponents of many steps at once by parity block, is checked against its
+earlier form: one dense ``eigh`` of the whole H per exponential.
 """
 
 import math
@@ -24,6 +27,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln
+
+from kerrcat.fock import displacement_operator, parity_operator
 
 
 def jacobi_eigenvalues(mat, tol=1e-14, max_sweeps=60):
@@ -197,6 +202,39 @@ def greedy_pairing(parities, n_pairs):
         used.update((i, j))
         i += 1
     return pairs
+
+
+def displaced_parity_point(state, x, p):
+    """Literal (1/pi) <psi| D(alpha) Pi D(alpha)^dag |psi> at one point,
+    alpha = (x + i p)/sqrt(2), with D(alpha) from a matrix exponential."""
+    state = np.asarray(state, dtype=complex)
+    dim = len(state)
+    alpha = (x + 1j * p) / np.sqrt(2.0)
+    d_op = displacement_operator(alpha, dim)
+    pi_op = parity_operator(dim)
+    val = state.conj() @ (d_op @ (pi_op @ (d_op.conj().T @ state)))
+    return float(np.real(val)) / np.pi
+
+
+def dense_cf4_step(h_at):
+    """The fourth-order commutator-free Magnus step of a closed ramp with one
+    dense ``eigh`` of the whole dim x dim exponent per exponential, as a
+    sample-interval kernel of ``dynamics._run``: steps k ... k + per - 1,
+    step k + j starting at (k + j) dt."""
+    s3 = np.sqrt(3.0)
+    nodes = (0.5 - s3 / 6.0, 0.5 + s3 / 6.0)
+    a, b = (3.0 - 2.0 * s3) / 12.0, (3.0 + 2.0 * s3) / 12.0
+
+    def step(state, k, dt, per):
+        for j in range(per):
+            t = (k + j) * dt
+            h1, h2 = (h_at(t + c * dt) for c in nodes)
+            for h in (b * h1 + a * h2, a * h1 + b * h2):
+                w, v = np.linalg.eigh(h)
+                u = (v * np.exp(-1j * dt * w)) @ v.conj().T
+                state = u @ state if state.ndim == 1 else u @ state @ u.conj().T
+        return state
+    return step
 
 
 def wigner_laguerre_reference(state, xg, pg):

@@ -13,10 +13,10 @@ from kerrcat.dynamics import (LindbladConfig, RampProtocol, RampSegment,
                               tx_lifetime, well_projectors, well_signal)
 from kerrcat.errors import IntegrationError, TruncationRiskError
 from kerrcat.fock import (HamiltonianParams, annihilation, build_hamiltonian,
-                          parity_operator)
+                          parity_operator, quadrature_x)
 from kerrcat.spectra import eigensystem, localized_pair, tunnel_splitting
 
-from oracles import kron_liouvillian
+from oracles import dense_cf4_step, kron_liouvillian
 
 
 def cfg_of(p, **kw):
@@ -575,6 +575,46 @@ def test_magnus_step_is_fourth_order():
     # fourth order: 16x per halving asymptotically; a second-order step
     # (midpoint, or CF4 with its weights swapped) gives about 4x
     assert errs[0] / errs[1] > 10 and errs[1] / errs[2] > 10, errs
+
+
+@pytest.mark.parametrize("dim, eps4, mixed, n_samples", [
+    (12, 0.0, False, 7),
+    (13, 0.0, True, 7),
+    (14, 0.05, False, 5),      # eps4 > 0: parity blocks of bandwidth 2
+    (11, 0.05, True, 2),       # one interval of more steps than one chunk
+])
+def test_closed_ramp_matches_the_dense_magnus_oracle(monkeypatch, dim, eps4,
+                                                      mixed, n_samples):
+    p = HamiltonianParams(delta=2.0, eps2=1.0, eps4=eps4, dim=dim)
+    prot = RampProtocol((RampSegment(4.0, 2.0, 1.0, 1.0, 0.3),
+                         RampSegment(4.0, 1.0, 1.5, 0.3, 0.8)))
+    rng = np.random.default_rng(dim)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi /= np.linalg.norm(psi)
+    init = np.outer(psi, psi.conj()) if mixed else psi
+    if mixed:
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        init = 0.5 * init + 0.5 * m @ m.conj().T / np.trace(m @ m.conj().T).real
+    cfg = cfg_of(p, t_final=1.0, n_samples=n_samples, n_pairs=1,
+                 initial_state=init)
+    traj = run_protocol(prot, cfg)
+    monkeypatch.setattr(kerrcat.dynamics, "_cf4_step", dense_cf4_step)
+    ref = run_protocol(prot, cfg)
+    assert traj.meta == ref.meta
+    if n_samples == 2:
+        per = prot.total_duration / traj.meta["dt"]
+        assert per > kerrcat.dynamics._CF4_CHUNK
+    for name in ("s", "x_expect", "nbar", "trace", "purity", "min_eig",
+                 "rho_final"):
+        assert np.abs(getattr(traj, name) - getattr(ref, name)).max() < 1e-11, name
+
+
+def test_magnus_step_rejects_a_parity_breaking_hamiltonian():
+    p = HamiltonianParams(delta=1.0, eps2=1.0, dim=10)
+    h = build_hamiltonian(p) + 0.1 * quadrature_x(10)   # x couples n to n +- 1
+    step = kerrcat.dynamics._cf4_step(lambda t: h)
+    with pytest.raises(ValueError, match="even and odd"):
+        step(np.eye(10, dtype=complex)[0], 0, 0.1, 1)
 
 
 def test_hold_half_rabi_flips_sign():

@@ -8,11 +8,11 @@ from scipy.special import gammaln
 
 from kerrcat.errors import TruncationRiskError
 from kerrcat.fock import HamiltonianParams, build_hamiltonian
-from kerrcat.phasespace import (WignerGrid, displaced_parity_point,
-                                wigner_function)
+from kerrcat.phasespace import WignerGrid, wigner_function
 from kerrcat.phasespace.wigner import _wigner_laguerre
 from kerrcat.spectra import eigensystem
-from oracles import wigner_laguerre_reference, wigner_q_integral
+from oracles import (displaced_parity_point, wigner_laguerre_reference,
+                     wigner_q_integral)
 
 
 def fock_state(n, dim):
