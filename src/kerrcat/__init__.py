@@ -1,9 +1,9 @@
 """kerrcat: a numerical laboratory for the squeeze-driven Kerr oscillator."""
 
 from .fock import (HamiltonianParams, annihilation, build_hamiltonian,
-                   coherent_state, creation, default_dim,
-                   displaced_hamiltonian, displacement_operator,
-                   number_operator, parity_operator, quadrature_x)
+                   coherent_state, default_dim, displaced_hamiltonian,
+                   displacement_operator, number_operator, parity_operator,
+                   quadrature_x)
 from .spectra import (EigenSystem, TunnelSplitting, degeneracy_check,
                       eigensystem, exact_block_eigenvalues,
                       find_splitting_zeros, first_order_crossing_amplitude,

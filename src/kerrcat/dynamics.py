@@ -2,7 +2,8 @@
 
 One sampling loop (``_run``) serves every route, with one step kernel per
 route that advances the state by one whole sample interval, and one
-observer samples them all:
+observer samples them all.  ``method="auto"`` takes ``unitary`` at kappa = 0
+and ``expm`` at any kappa > 0; ``rk4`` runs only by name, and for open ramps:
 
 * ``unitary`` - closed system (kappa = 0), exact eigenbasis phases
   exp(-i w tau) per sample interval tau;
@@ -46,7 +47,8 @@ import scipy.sparse.linalg as spla
 from scipy.optimize import curve_fit
 
 from .errors import IntegrationError, TruncationRiskError
-from .fock import HamiltonianParams, annihilation, build_hamiltonian, quadrature_x
+from .fock import (HamiltonianParams, annihilation, build_hamiltonian,
+                   number_operator, quadrature_x)
 from .semiclassical import ebk_bound_state_count
 from .spectra import (EigenSystem, eigensystem, _commutes_with_parity,
                       _pair_up, _parity_eigh, _wells)
@@ -217,12 +219,7 @@ def evolve(cfg: LindbladConfig) -> Trajectory:
     sys = _System(cfg)
     method = cfg.method
     if method == "auto":
-        if cfg.kappa == 0:
-            method = "unitary"
-        elif cfg.t_final <= 300.0:
-            method = "rk4"
-        else:
-            method = "expm"
+        method = "unitary" if cfg.kappa == 0 else "expm"
     if method == "unitary":
         if cfg.kappa != 0:
             raise ValueError("unitary method requires kappa = 0")
@@ -351,52 +348,53 @@ def _liouvillian(h: np.ndarray, a: np.ndarray, cfg: LindbladConfig):
     return liou
 
 
-def _sector(h: np.ndarray, a: np.ndarray, cfg: LindbladConfig, par, odd: bool):
+def _sector(liou, par, odd: bool):
     """Index pairs (i, j) with parities par_i != par_j (``odd``) or
-    par_i == par_j, in row-major order, and the CSR block over them of
-    ``_liouvillian(h, a, cfg)``.  Parity is a weak symmetry, so the two
-    sectors are the whole Liouvillian: it couples no even pair to an odd
-    one."""
+    par_i == par_j, in row-major order, and the CSR block over them of the
+    ``_liouvillian`` ``liou`` in a basis with parities ``par``.  Parity is a
+    weak symmetry, so the two sectors are the whole Liouvillian: it couples
+    no even pair to an odd one."""
     pairs = np.nonzero((par[:, None] != par[None, :]) == odd)
     index = np.ravel_multi_index(pairs, (len(par), len(par)))
-    return pairs, _liouvillian(h, a, cfg)[index][:, index]
+    return pairs, liou[index][:, index]
 
 
 def _evolve_expm(sys: _System) -> Trajectory:
-    """Exact stepping in the top ``rank`` eigenvectors of H: from ``cfg.rank``
-    (default min(dim, 32)) up by 12, at most 4 tries, to the first rank that
-    keeps tr rho(0) (normalised or not) to 1e-6 relative and whose run keeps
-    it to 1e-6.  The projected Lindbladian keeps the trace exactly, so no
-    run is made at a rank that loses it; the full basis is taken as is."""
-    tau = sys.cfg.t_final / (sys.cfg.n_samples - 1)
+    """Exact stepping in the top ``rank`` eigenvectors of H, chosen before
+    anything is built: the first of ``cfg.rank`` (default min(dim, 32)) + 0,
+    12, 24, 36, capped at dim, that keeps tr rho(0) (normalised or not) to
+    1e-6 relative; the full basis is taken as is.  The projected Lindbladian
+    keeps the trace exactly, so a run that loses it raises IntegrationError."""
     rho0 = sys.initial_rho()
     tr0 = float(np.real(np.trace(rho0)))
-    rank = sys.cfg.rank if sys.cfg.rank else min(sys.dim, 32)
-    for _ in range(4):
+    start = sys.cfg.rank if sys.cfg.rank else min(sys.dim, 32)
+    for rank in (min(sys.dim, start + extra) for extra in (0, 12, 24, 36)):
         vr = sys.es.eigenvectors[:, :rank]
         rho0_r = vr.conj().T @ rho0 @ vr
-        full = rank >= sys.dim
+        full = rank == sys.dim
         if full or abs(1.0 - float(np.real(np.trace(rho0_r))) / tr0) < 1e-6:
-            h_r = np.diag(sys.es.eigenvalues[:rank])
-            a_r = vr.conj().T @ sys.a @ vr
-            props = [(pairs, sla.expm(block.toarray() * tau)) for pairs, block
-                     in (_sector(h_r, a_r, sys.cfg, sys.es.parities[:rank], odd)
-                         for odd in (False, True))]
+            break
+    else:
+        raise IntegrationError("eigenbasis rank did not certify in 4 tries")
+    tau = sys.cfg.t_final / (sys.cfg.n_samples - 1)
+    liou = _liouvillian(np.diag(sys.es.eigenvalues[:rank]),
+                        vr.conj().T @ sys.a @ vr, sys.cfg)
+    props = [(pairs, sla.expm(block.toarray() * tau)) for pairs, block
+             in (_sector(liou, sys.es.parities[:rank], odd)
+                 for odd in (False, True))]
 
-            def step(rho, k, dt, per):      # per = 1: one propagator step
-                for pairs, prop in props:
-                    rho[pairs] = prop @ rho[pairs]
-                return rho
+    def step(rho, k, dt, per):      # per = 1: one propagator step
+        for pairs, prop in props:
+            rho[pairs] = prop @ rho[pairs]
+        return rho
 
-            rows, rho = _run(sys, rho0_r, step,
-                             ops=tuple(vr.conj().T @ op @ vr for op in sys.ops))
-            tr_err = max(abs(1.0 - row[3] / tr0) for row in rows)
-            if full or tr_err < 1e-6:
-                return _traj_from_samples(sys, rows, vr @ rho @ vr.conj().T,
-                                          {"method": "expm", "rank": rank,
-                                           "trace_error": tr_err})
-        rank = min(sys.dim, rank + 12)
-    raise IntegrationError("eigenbasis rank did not certify in 4 tries")
+    rows, rho = _run(sys, rho0_r, step,
+                     ops=tuple(vr.conj().T @ op @ vr for op in sys.ops))
+    tr_err = max(abs(1.0 - row[3] / tr0) for row in rows)
+    if not (full or tr_err < 1e-6):
+        raise IntegrationError(f"expm at rank {rank} lost {tr_err:.3g} of tr rho(0)")
+    meta = {"method": "expm", "rank": rank, "trace_error": tr_err}
+    return _traj_from_samples(sys, rows, vr @ rho @ vr.conj().T, meta)
 
 
 # -- Rabi maps and lifetime extraction -----------------------------------------
@@ -485,7 +483,8 @@ def _odd_sector_tx(cfg: LindbladConfig, dim: int) -> float:
     Liouvillian at ``dim`` on its ``_sector`` rho_mn with m + n odd: one
     sparse shift-invert solve."""
     h = build_hamiltonian(cfg.params.with_(dim=dim))
-    block = _sector(h, annihilation(dim), cfg, np.arange(dim) % 2, True)[1].tocsc()
+    liou = _liouvillian(h, annihilation(dim), cfg)
+    block = _sector(liou, np.arange(dim) % 2, True)[1].tocsc()
     lam = spla.eigs(block, k=1, sigma=0, v0=np.ones(block.shape[0]),
                     return_eigenvectors=False)[0]
     return -1.0 / lam.real
@@ -553,7 +552,7 @@ def run_protocol(protocol: RampProtocol, cfg: LindbladConfig) -> Trajectory:
     d0, e0 = protocol.values_at(0.0)
     base = cfg.params.with_(delta=d0, eps2=e0)
     sys = _System(replace(cfg, params=base, t_final=protocol.total_duration))
-    num = np.diag(np.arange(base.dim, dtype=float))
+    num = number_operator(base.dim)
     drive = sys.a.T @ sys.a.T + sys.a @ sys.a
     kerr_term = build_hamiltonian(base.with_(delta=0.0, eps2=0.0))
 

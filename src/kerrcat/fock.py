@@ -25,7 +25,6 @@ __all__ = [
     "HamiltonianParams",
     "default_dim",
     "annihilation",
-    "creation",
     "number_operator",
     "quadrature_x",
     "parity_operator",
@@ -84,10 +83,6 @@ def annihilation(dim: int) -> np.ndarray:
     ns = np.arange(1, dim)
     a[ns - 1, ns] = np.sqrt(ns)
     return a
-
-
-def creation(dim: int) -> np.ndarray:
-    return annihilation(dim).T.copy()
 
 
 def number_operator(dim: int) -> np.ndarray:

@@ -105,18 +105,19 @@ def _parity_eigh(hs: np.ndarray):
     return vals, vecs, pars
 
 
-def eigensystem(h: np.ndarray, hermitian_tol: float = 1e-10) -> EigenSystem:
+def eigensystem(h: np.ndarray) -> EigenSystem:
     """Diagonalise a Hermitian matrix, descending order, with parity labels.
 
-    Raises on non-Hermitian input.  A matrix that commutes with the photon
-    parity, real or complex, is diagonalised block by block over the even
-    and odd Fock indices, so every eigenvector carries an exact parity (and
-    is exactly 0 on the other parity's indices); any other matrix gets a
-    dense solve and no parity labels.
+    Raises on input further than 1e-10 max(1, max|h|) from Hermitian.  A
+    matrix that commutes with the photon parity, real or complex, is
+    diagonalised block by block over the even and odd Fock indices, so every
+    eigenvector carries an exact parity (and is exactly 0 on the other
+    parity's indices); any other matrix gets a dense solve and no parity
+    labels.
     """
     h = np.asarray(h)
     scale = max(1.0, np.abs(h).max())
-    if np.abs(h - h.conj().T).max() > hermitian_tol * scale:
+    if np.abs(h - h.conj().T).max() > 1e-10 * scale:
         raise ValueError("input matrix is not Hermitian")
     dim = h.shape[0]
     if not _commutes_with_parity(h, 1e-13 * scale):

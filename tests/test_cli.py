@@ -640,6 +640,41 @@ def test_fractional_dim_or_count_is_a_config_error(tmp_path, command, dim,
     assert rc == 2 and not out.exists()
 
 
+def _delta_axis(**kw):
+    return {"name": "delta", "start": 0.5, "stop": 2.0, "count": 2, **kw}
+
+
+@pytest.mark.parametrize("command, cfg, overrides, rc, err", [
+    ("splitting", {"fixed": {"eps2": 0.5, "dim": 20},
+                   "axes": [_delta_axis(), _delta_axis()]}, [], 2, "distinct"),
+    ("splitting", {"fixed": {"eps2": 0.5, "dim": 20},
+                   "axes": [_delta_axis(start=0, scale="log")]}, [], 2,
+     "positive bounds"),
+    ("splitting", [{"fixed": {"eps2": 0.5, "dim": 20}}], [], 2, "JSON object"),
+    ("splitting", {"fixed": {"eps2": 0.5, "dim": 20}, "axes": [_delta_axis()]},
+     ["foo"], 2, "key=value"),
+    ("splitting", {"fixed": {"eps2": 0.5, "dim": 20.0},
+                   "axes": [_delta_axis(count=2.0)]}, [], 0, ""),
+    ("wigner", {"fixed": {"delta": 6.0, "eps2": 2.0, "dim": 20}},
+     ["state.eigen=0"], 3, "TruncationRiskError")])
+def test_config_paths_end_in_their_exit_code(tmp_path, capsys, command, cfg,
+                                             overrides, rc, err):
+    out = tmp_path / "t.csv"
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert cli.main([command, "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out), *sets]) == rc
+    assert err in capsys.readouterr().err
+    if rc:
+        assert not out.exists()
+        return
+    # integral floats are read as the integers they equal
+    ref = tmp_path / "ref.csv"
+    cfg = {"fixed": {**cfg["fixed"], "dim": 20}, "axes": [_delta_axis()]}
+    assert cli.main([command, "--config", write_cfg(tmp_path, cfg, "ref.json"),
+                     "--out", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+
+
 # -- the config schema: null, ignored keys, one-key edits, README drift ----------
 
 @pytest.mark.parametrize("command, cfg, key", [

@@ -26,9 +26,9 @@ def cfg_of(p, **kw):
 def eigen_sector(sys, rank, odd):
     """``_sector`` in the top ``rank`` eigenvectors of H: (pairs, dense block)."""
     vr = sys.es.eigenvectors[:, :rank]
-    pairs, block = kerrcat.dynamics._sector(
-        np.diag(sys.es.eigenvalues[:rank]), vr.conj().T @ sys.a @ vr, sys.cfg,
-        sys.es.parities[:rank], odd)
+    liou = kerrcat.dynamics._liouvillian(
+        np.diag(sys.es.eigenvalues[:rank]), vr.conj().T @ sys.a @ vr, sys.cfg)
+    pairs, block = kerrcat.dynamics._sector(liou, sys.es.parities[:rank], odd)
     return pairs, block.toarray()
 
 
@@ -189,6 +189,34 @@ def test_rk4_and_expm_agree():
     t_expm = evolve(cfg_of(p, **common, method="expm", rank=20))
     assert np.abs(t_rk4.s - t_expm.s).max() < 1e-8
     assert np.abs(t_rk4.nbar - t_expm.nbar).max() < 1e-8
+
+
+def test_auto_takes_expm_at_any_kappa():
+    # no t_final threshold: a short open run takes the expm route, and RK4
+    # asked for by name gives the same well signal
+    p = HamiltonianParams(delta=2.0, eps2=2.17, dim=20)
+    common = dict(kappa=0.02, n_th=0.05, t_final=10.0, n_samples=21)
+    auto = evolve(cfg_of(p, **common))
+    rk4 = evolve(cfg_of(p, **common, method="rk4"))
+    assert (auto.meta["method"], rk4.meta["method"]) == ("expm", "rk4")
+    assert np.abs(auto.s - rk4.s).max() < 1e-10
+
+
+def test_step_control_gives_up_naming_the_method():
+    # a kernel that only returns NaN never converges: every one of the 13
+    # runs (12 halvings) is made, then IntegrationError names the method
+    p = HamiltonianParams(delta=1.0, eps2=0.5, dim=12)
+    sys = kerrcat.dynamics._System(cfg_of(p, t_final=1.0, n_samples=3, n_pairs=1))
+    calls = []
+
+    def nan_step(psi, k, dt, per):
+        calls.append(per)
+        return np.full_like(psi, np.nan)
+
+    with pytest.raises(IntegrationError, match="nan-kernel"):
+        kerrcat.dynamics._step_controlled(sys, sys.initial_state(), nan_step,
+                                          0.5, "nan-kernel")
+    assert calls == [2 ** h for h in range(13) for _ in range(2)]
 
 
 def test_positivity_and_trace_long_horizon():
@@ -462,9 +490,9 @@ def test_fock_sectors_match_the_kron_oracle(delta, eps2, eps4, kappa, n_th,
     odd, even = np.flatnonzero(odd_pair), np.flatnonzero(~odd_pair)
     assert np.all(full[np.ix_(even, odd)] == 0)
     assert np.all(full[np.ix_(odd, even)] == 0)
+    liou = kerrcat.dynamics._liouvillian(h, a, cfg_of(p, kappa=kappa, n_th=n_th))
     for is_odd, index in ((False, even), (True, odd)):
-        pairs, block = kerrcat.dynamics._sector(
-            h, a, cfg_of(p, kappa=kappa, n_th=n_th), n % 2, is_odd)
+        pairs, block = kerrcat.dynamics._sector(liou, n % 2, is_odd)
         assert np.array_equal(np.ravel_multi_index(pairs, (dim, dim)), index)
         assert block.toarray().tobytes() == full[np.ix_(index, index)].tobytes()
 
@@ -512,6 +540,20 @@ def test_expm_uncertifiable_rank_fails_before_propagating(monkeypatch):
         evolve(cfg_of(p, kappa=1 / 50, n_th=0.05, t_final=10.0, n_samples=11,
                       method="expm", rank=1, initial_state=39))
     assert calls == []
+
+
+def test_expm_run_that_loses_the_trace_raises_without_retrying(monkeypatch):
+    # a propagator that leaks 1e-3 per step: the run at the certified rank
+    # raises, and no higher rank is tried
+    calls = []
+    expm_ = kerrcat.dynamics.sla.expm
+    monkeypatch.setattr(kerrcat.dynamics.sla, "expm",
+                        lambda a: calls.append(a.shape) or 0.999 * expm_(a))
+    p = HamiltonianParams(delta=2.0, eps2=2.17, dim=24)
+    with pytest.raises(IntegrationError, match="rank 8"):
+        evolve(cfg_of(p, kappa=1 / 50, n_th=0.05, t_final=10.0, n_samples=3,
+                      rank=8))
+    assert calls == [(32, 32), (32, 32)]
 
 
 def test_expm_certifies_an_unnormalised_state_against_its_own_trace():
