@@ -41,10 +41,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.optimize import curve_fit
 
 from .errors import IntegrationError, TruncationRiskError
 from .fock import (HamiltonianParams, annihilation, build_hamiltonian,
@@ -147,7 +143,7 @@ class _System:
         self.a = annihilation(p.dim)
 
     @cached_property
-    def liou(self) -> sp.csr_matrix:
+    def liou(self):
         """The Fock-basis Liouvillian of row-major vec rho."""
         return _liouvillian(self.h, self.a, self.cfg)
 
@@ -334,6 +330,8 @@ def _jumps(cfg: LindbladConfig, a: np.ndarray) -> list:
 def _liouvillian(h: np.ndarray, a: np.ndarray, cfg: LindbladConfig):
     """The CSR Liouvillian in the basis where H is ``h`` and the loss jump is
     ``a``, acting on row-major vec rho: vec(A rho B) = kron(A, B^T) vec rho."""
+    import scipy.sparse as sp
+
     eye = sp.identity(len(h), format="csr")
 
     def kron(x, y):
@@ -365,6 +363,8 @@ def _evolve_expm(sys: _System) -> Trajectory:
     12, 24, 36, capped at dim, that keeps tr rho(0) (normalised or not) to
     1e-6 relative; the full basis is taken as is.  The projected Lindbladian
     keeps the trace exactly, so a run that loses it raises IntegrationError."""
+    from scipy.linalg import expm
+
     rho0 = sys.initial_rho()
     tr0 = float(np.real(np.trace(rho0)))
     start = sys.cfg.rank if sys.cfg.rank else min(sys.dim, 32)
@@ -379,7 +379,7 @@ def _evolve_expm(sys: _System) -> Trajectory:
     tau = sys.cfg.t_final / (sys.cfg.n_samples - 1)
     liou = _liouvillian(np.diag(sys.es.eigenvalues[:rank]),
                         vr.conj().T @ sys.a @ vr, sys.cfg)
-    props = [(pairs, sla.expm(block.toarray() * tau)) for pairs, block
+    props = [(pairs, expm(block.toarray() * tau)) for pairs, block
              in (_sector(liou, sys.es.parities[:rank], odd)
                  for odd in (False, True))]
 
@@ -405,6 +405,8 @@ def _cosine_model(t, amp, freq, rate, offset):
 
 def fit_decaying_cosine(times, signal):
     """(angular frequency, decay time) of an exponentially decaying cosine."""
+    from scipy.optimize import curve_fit
+
     times = np.asarray(times)
     signal = np.asarray(signal)
     sig0 = signal - signal.mean()
@@ -482,11 +484,13 @@ def _odd_sector_tx(cfg: LindbladConfig, dim: int) -> float:
     """-1 / Re lambda_1, lambda_1 the eigenvalue nearest 0 of the Fock-basis
     Liouvillian at ``dim`` on its ``_sector`` rho_mn with m + n odd: one
     sparse shift-invert solve."""
+    from scipy.sparse.linalg import eigs
+
     h = build_hamiltonian(cfg.params.with_(dim=dim))
     liou = _liouvillian(h, annihilation(dim), cfg)
     block = _sector(liou, np.arange(dim) % 2, True)[1].tocsc()
-    lam = spla.eigs(block, k=1, sigma=0, v0=np.ones(block.shape[0]),
-                    return_eigenvectors=False)[0]
+    lam = eigs(block, k=1, sigma=0, v0=np.ones(block.shape[0]),
+               return_eigenvectors=False)[0]
     return -1.0 / lam.real
 
 

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import InvalidDimensionError, TruncationRiskError
 
@@ -145,13 +144,15 @@ def displacement_operator(alpha: complex, dim: int) -> np.ndarray:
     Accurate in the top-left block only while the displaced support fits;
     refuse blatantly unsafe requests.
     """
+    from scipy.linalg import expm
+
     if abs(alpha) ** 2 > dim / 4:
         raise TruncationRiskError(
             f"|alpha|^2 = {abs(alpha)**2:.3g} exceeds dim/4 = {dim/4:.3g}; "
             "increase dim")
     a = annihilation(dim)
     gen = alpha * a.T - np.conj(alpha) * a
-    return sla.expm(gen.astype(complex))
+    return expm(gen.astype(complex))
 
 
 def displaced_hamiltonian(p: HamiltonianParams, alpha: float) -> np.ndarray:

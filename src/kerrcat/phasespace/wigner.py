@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from ..errors import TruncationRiskError
 from ..tables import format_sig, write_csv, write_json
@@ -113,8 +112,12 @@ def _wigner_laguerre(state: np.ndarray, xg: np.ndarray, pg: np.ndarray) -> np.nd
     values of u, in place, and the sum is scattered back onto the grid for
     the angular factor; the sum is real when the diagonal's coefficients
     are.  A diagonal whose coefficients all lie below 1e-18 is skipped
-    (every odd d of a parity eigenstate).
+    (every odd d of a parity eigenstate).  A real sum takes the angular
+    factor as cos(d phi), the real part of e^{i d phi}, without complex
+    arithmetic.
     """
+    from scipy.special import gammaln
+
     dim = len(state)
     psi = state.astype(complex)
     Xm, Pm = np.meshgrid(xg, pg, indexing="ij")
@@ -145,5 +148,9 @@ def _wigner_laguerre(state: np.ndarray, xg: np.ndarray, pg: np.ndarray) -> np.nd
             nxt /= np.sqrt(m * (m + d))
             g_prev, g, nxt = g, nxt, g_prev
             acc += np.multiply(c[m], g, out=term)
-        out += (2.0 if d else 1.0) * np.real(acc[inv] * np.exp(1j * d * phi))
+        if np.iscomplexobj(acc):
+            w = np.real(acc[inv] * np.exp(1j * d * phi))
+        else:
+            w = acc[inv] * np.cos(d * phi)
+        out += (2.0 if d else 1.0) * w
     return out / np.pi

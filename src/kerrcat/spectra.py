@@ -23,8 +23,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eig_banded
-from scipy.optimize import brentq
 
 from .errors import InvalidDimensionError, PoleError
 from .fock import HamiltonianParams, hamiltonian_bands, quadrature_x
@@ -152,6 +150,8 @@ def _block_levels(p: HamiltonianParams):
     """(energies, parities) of the even, then the odd Fock block.  Each block
     is solved for its eigenvalues only, in upper banded storage (bandwidth 1,
     or 2 when eps4 != 0)."""
+    from scipy.linalg import eig_banded
+
     diag, c2, c4 = hamiltonian_bands(p)
     u = 2 if p.eps4 else 1
     vals, pars = [], []
@@ -182,6 +182,8 @@ def _scan(p0: HamiltonianParams, grid, xtol: float):
     """Signed splitting at every grid delta, and its zeros: the grid points
     where it is exactly 0 plus a ``brentq`` root to ``xtol`` on every grid
     interval where it changes sign."""
+    from scipy.optimize import brentq
+
     vals = np.array([signed_splitting(d, p0) for d in grid])
     zeros = []
     for i in range(len(grid) - 1):
@@ -380,4 +382,6 @@ def quartic_drive_spectrum(p: HamiltonianParams, delta_grid: np.ndarray) -> Swee
 
 
 def quartic_crossing_location(p: HamiltonianParams, lo: float, hi: float) -> float:
+    from scipy.optimize import brentq
+
     return brentq(signed_splitting, lo, hi, args=(p,), xtol=1e-10)

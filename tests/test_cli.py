@@ -606,6 +606,71 @@ def test_sweep_bytes_do_not_depend_on_worker_count(tmp_path_factory, data):
         assert outs[0][1].read_bytes() == outs[1][1].read_bytes()
 
 
+# -- scipy is imported on first use ----------------------------------------------
+
+SCIPY_PROBE = """\
+import json, sys
+import kerrcat, kerrcat.cli
+rc = kerrcat.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+sys.exit(rc)
+"""
+
+
+def fresh_kerrcat(*argv):
+    """``kerrcat *argv`` in a new process that finds this kerrcat; the last
+    stdout line lists the scipy modules loaded."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv],
+                          capture_output=True, text=True, env=env)
+
+
+LINDBLAD_TX = {"fixed": {"eps2": 2.17, "dim": 20, "kappa": 0.02, "n_th": 0.05,
+                         "t_final": 6000.0},
+               "axes": [{"name": "delta", "start": 1.9, "stop": 2.0, "count": 2}]}
+
+
+@pytest.mark.parametrize("command, cfg, absent", [
+    (None, None, ["scipy"]),
+    ("calibrate", None, ["scipy"]),
+    ("wigner", {"fixed": {"delta": 5.5, "eps2": 2.0, "dim": 30},
+                "grid": {"points": 11}},
+     ["scipy.linalg", "scipy.sparse", "scipy.optimize"]),
+    ("splitting", {"fixed": {"eps2": 0.5, "dim": 30},
+                   "axes": [{"name": "delta", "start": 0.5, "stop": 1.5,
+                             "count": 2}]},
+     ["scipy.optimize", "scipy.sparse", "scipy.special"]),
+    ("lindblad", LINDBLAD_TX, ["scipy.optimize", "scipy.special"]),
+], ids=["import", "calibrate", "wigner", "splitting", "lindblad"])
+def test_each_subcommand_imports_only_the_scipy_it_uses(tmp_path, command, cfg,
+                                                        absent):
+    if command is None:
+        argv = []
+    elif command == "calibrate":
+        argv = ["calibrate", "--omega-x", "4.0", "--eps-x", "1.0"]
+    else:
+        argv = [command, "--config", write_cfg(tmp_path, cfg),
+                "--out", str(tmp_path / "out.csv")]
+    proc = fresh_kerrcat(*argv)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert not [m for m in loaded
+                if any(m == a or m.startswith(a + ".") for a in absent)]
+
+
+def test_worker_pool_imports_scipy_on_first_use(tmp_path):
+    # in a fresh process the first scipy imports run inside the two workers
+    cfg = write_cfg(tmp_path, LINDBLAD_TX)
+    outs = [tmp_path / f"tx-{n}.csv" for n in (1, 2)]
+    for n, out in zip((1, 2), outs):
+        proc = fresh_kerrcat("lindblad", "--config", cfg, "--out", str(out),
+                             "--threads", str(n))
+        assert proc.returncode == 0, proc.stderr
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
 
 @pytest.mark.parametrize("flags", [["--omega-x", "nan", "--eps-x", "1.0"],
                                    ["--omega-x", "4.0", "--eps-x", "inf"],

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import scipy.linalg
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -532,9 +533,8 @@ def test_expm_blocks_match_full_oracle_propagation(rank):
 def test_expm_uncertifiable_rank_fails_before_propagating(monkeypatch):
     # no basis the rank loop tries holds Fock state 39: raise without expm
     calls = []
-    expm_ = kerrcat.dynamics.sla.expm
-    monkeypatch.setattr(kerrcat.dynamics.sla, "expm",
-                        lambda a: calls.append(a.shape) or expm_(a))
+    monkeypatch.setattr(scipy.linalg, "expm",
+                        lambda a: calls.append(a.shape) or expm(a))
     p = HamiltonianParams(delta=2.0, eps2=2.17, dim=40)
     with pytest.raises(IntegrationError):
         evolve(cfg_of(p, kappa=1 / 50, n_th=0.05, t_final=10.0, n_samples=11,
@@ -546,9 +546,8 @@ def test_expm_run_that_loses_the_trace_raises_without_retrying(monkeypatch):
     # a propagator that leaks 1e-3 per step: the run at the certified rank
     # raises, and no higher rank is tried
     calls = []
-    expm_ = kerrcat.dynamics.sla.expm
-    monkeypatch.setattr(kerrcat.dynamics.sla, "expm",
-                        lambda a: calls.append(a.shape) or 0.999 * expm_(a))
+    monkeypatch.setattr(scipy.linalg, "expm",
+                        lambda a: calls.append(a.shape) or 0.999 * expm(a))
     p = HamiltonianParams(delta=2.0, eps2=2.17, dim=24)
     with pytest.raises(IntegrationError, match="rank 8"):
         evolve(cfg_of(p, kappa=1 / 50, n_th=0.05, t_final=10.0, n_samples=3,

@@ -9,8 +9,8 @@ from scipy.special import gammaln
 from kerrcat.errors import TruncationRiskError
 from kerrcat.fock import HamiltonianParams, build_hamiltonian
 from kerrcat.phasespace import WignerGrid, wigner_function
-from kerrcat.phasespace.wigner import _wigner_laguerre
-from kerrcat.spectra import eigensystem
+from kerrcat.phasespace.wigner import _wigner_laguerre, default_extent
+from kerrcat.spectra import eigensystem, localized_pair
 from oracles import (displaced_parity_point, wigner_laguerre_reference,
                      wigner_q_integral)
 
@@ -186,6 +186,18 @@ def test_grid_bytes_equal_the_reference_kernel(dim, seed, kind, support, grid,
     x, p = _grid(grid, extent, n)
     got = _wigner_laguerre(state, x, p)
     assert got.tobytes() == wigner_laguerre_reference(state, x, p).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["cat", "well"])
+def test_full_size_grid_bytes_equal_the_reference_kernel(kind):
+    # real states at the CLI's default size: every diagonal takes cos(d phi)
+    es = eigensystem(build_hamiltonian(
+        HamiltonianParams(delta=5.5, eps2=2.0, dim=90)))
+    state = es.eigenvectors[:, 0] if kind == "cat" else localized_pair(es, 0)[0]
+    ext = default_extent(state)
+    x = np.linspace(-ext, ext, 201)
+    got = _wigner_laguerre(state, x, x)
+    assert got.tobytes() == wigner_laguerre_reference(state, x, x).tobytes()
 
 
 def test_complex_coherent_state_matches_point_evaluations():
