@@ -7,8 +7,9 @@ carries an exact parity and degenerate even/odd pairs stay resolved.
 
 * :func:`levels` takes the model parameters and returns eigenvalues only.
   It stores each parity block in banded form (bandwidth 1, or 2 with eps4)
-  and never builds the dim x dim matrix.  Splittings, zero searches,
-  degeneracy checks and level lists use it.
+  and builds the dim x dim matrix only in the rare case of a level gap near
+  the tie floor, to order it as :func:`eigensystem` does.  Splittings, zero
+  searches, degeneracy checks and level lists use it.
 * :func:`eigensystem` takes any Hermitian matrix and returns eigenvectors
   too, by dense solves of the parity blocks (or of the whole matrix when it
   does not commute with parity).  Use it where states are needed: dynamics,
@@ -25,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDimensionError, PoleError
-from .fock import HamiltonianParams, hamiltonian_bands, quadrature_x
+from .fock import (HamiltonianParams, build_hamiltonian, hamiltonian_bands,
+                   quadrature_x)
 from .tables import SweepResult
 
 __all__ = [
@@ -122,27 +124,48 @@ def eigensystem(h: np.ndarray) -> EigenSystem:
         w, v = np.linalg.eigh(h)
         return EigenSystem(w[::-1], None, v[:, ::-1], dim)
     vals, vecs, pars = _parity_eigh(h)
-    energies, order = _descending(vals, pars)
+    energies, order, _ = _descending(vals, pars)
     return EigenSystem(energies, pars[order], vecs[:, order], dim)
 
 
 def _descending(vals, pars):
-    """The energies in descending order, and the order of the states (parity
-    labels, vectors) that goes with them.  Levels closer than 4 eps max|E|
-    (a few ulp) to their neighbour are ties that round-off cannot order: the
-    even state comes first among them."""
+    """The energies in descending order, the order of the states (parity
+    labels, vectors) that goes with them, and whether any gap between
+    neighbours lies within a factor 2 of the tie floor.  Levels closer than
+    4 eps max|E| (a few ulp) to their neighbour are ties that round-off
+    cannot order: the even state comes first among them."""
     order = np.lexsort((-pars, -vals))
     floor = 4 * np.finfo(float).eps * np.abs(vals).max(initial=0.0)
-    tie = np.concatenate(([0], np.cumsum(-np.diff(vals[order]) > floor)))
-    return vals[order], order[np.lexsort((-pars[order], tie))]
+    gap = -np.diff(vals[order])
+    tie = np.concatenate(([0], np.cumsum(gap > floor)))
+    near = np.count_nonzero(gap > floor / 2) != np.count_nonzero(gap > 2 * floor)
+    return vals[order], order[np.lexsort((-pars[order], tie))], near
+
+
+def _ordered_levels(p: HamiltonianParams):
+    """Banded (energies, parities) of the even, then the odd block, as from
+    :func:`_block_levels`, and the descending state order that
+    ``eigensystem(build_hamiltonian(p))`` gives the same levels.
+
+    The two solvers differ by round-off, so a gap near the tie floor of
+    :func:`_descending` could fall on opposite sides of it in the two (a
+    truncation splitting does, at some eps2).  Such a level list takes its
+    order from the dense parity-block solve instead, the same arithmetic as
+    :func:`eigensystem`; every other gap is far enough from the floor for
+    the banded values to order it alike.
+    """
+    vals, pars = _block_levels(p)
+    energies, order, near = _descending(vals, pars)
+    if near:
+        order = _descending(_parity_eigh(build_hamiltonian(p))[0], pars)[1]
+    return vals, pars, energies, order
 
 
 def levels(p: HamiltonianParams):
     """(energies, parities) of the model Hamiltonian, ordered as
     :func:`eigensystem` orders them: descending, even first on ties within a
     few ulp."""
-    vals, pars = _block_levels(p)
-    energies, order = _descending(vals, pars)
+    _, pars, energies, order = _ordered_levels(p)
     return energies, pars[order]
 
 
@@ -169,9 +192,9 @@ def _block_levels(p: HamiltonianParams):
 
 def tunnel_splitting(p: HamiltonianParams) -> TunnelSplitting:
     """Signed ground-manifold splitting E(top even) - E(top odd)."""
-    vals, pars = _block_levels(p)
+    vals, pars, _, order = _ordered_levels(p)
     de = vals[pars == 1].max() - vals[pars == -1].max()
-    return TunnelSplitting(de, abs(de), int(pars[_descending(vals, pars)[1][0]]))
+    return TunnelSplitting(de, abs(de), int(pars[order[0]]))
 
 
 def signed_splitting(delta: float, p0: HamiltonianParams) -> float:
