@@ -29,7 +29,12 @@ basis, and ``_sector`` cuts one of these two sectors from it, both in the
 eigenbasis for ``expm`` and the odd one in the Fock basis for
 ``tx_lifetime``.  ``tx_lifetime`` does not step in time: T_X = -1 / Re
 lambda_1, lambda_1 the eigenvalue nearest 0 of the sector m + n odd, where
-the well signal lives; H is never diagonalised.  T_X at dim and dim + 12
+the well signal lives; H is never diagonalised.  Each solve factorises the
+sector once (SuperLU, minimum-degree ordering of A^T + A, pivot threshold
+0.1: about 0.6x the fill of COLAMD with partial pivoting) and runs ARPACK
+shift-invert at sigma = 0 on that factor with 8 Krylov vectors: lambda_1 lies
+far closer to 0 than the rest of the sector, so this takes 9 LU solves at
+most points, against 21 at ARPACK's default of 20.  T_X at dim and dim + 12
 must agree to 1e-6 relative, else ``TruncationRiskError``: this certifies
 the truncation.  ``rank``, ``initial_state``, ``n_samples``, ``n_pairs``
 and ``method`` do not enter T_X.
@@ -480,16 +485,35 @@ def tx_lifetime(cfg: LindbladConfig) -> TxEstimate:
     return TxEstimate(float(t_x), False, dim)
 
 
+# Factor options of the odd sector.  The minimum-degree ordering of A^T + A
+# suits its near-symmetric pattern, but keeps its low fill only when SuperLU
+# may pivot on the diagonal: at dim 72 (delta = 2, eps2 = 2.17) it leaves
+# 119k nonzeros at threshold 0.1 and 228k at the default 1.0, against
+# COLAMD's 200k.  Against that COLAMD solve T_X moved by 7e-12 relative at
+# threshold 0.1 and 2e-9 at 0.01 (dim 150, delta = 8, eps2 = 4).
+_TX_PERMC, _TX_PIVOT = "MMD_AT_PLUS_A", 0.1
+# Krylov size of the shift-invert run: 9 LU solves at most points, 17 in a
+# shallow well (delta = 0.5, eps2 = 0.3).  4 failed to converge on sectors of
+# dim <= 16.  ARPACK needs ncv <= the sector size, 8 at the smallest dim, 4.
+_TX_NCV = 8
+
+
 def _odd_sector_tx(cfg: LindbladConfig, dim: int) -> float:
     """-1 / Re lambda_1, lambda_1 the eigenvalue nearest 0 of the Fock-basis
-    Liouvillian at ``dim`` on its ``_sector`` rho_mn with m + n odd: one
-    sparse shift-invert solve."""
-    from scipy.sparse.linalg import eigs
+    Liouvillian at ``dim`` on its ``_sector`` rho_mn with m + n odd.
+
+    One sparse LU of the sector, ordered by ``_TX_PERMC`` with pivot
+    threshold ``_TX_PIVOT``, serves as the shift-invert operator of a
+    ``_TX_NCV``-vector ARPACK run at sigma = 0 (see the constants for why).
+    """
+    from scipy.sparse.linalg import LinearOperator, eigs, splu
 
     h = build_hamiltonian(cfg.params.with_(dim=dim))
     liou = _liouvillian(h, annihilation(dim), cfg)
     block = _sector(liou, np.arange(dim) % 2, True)[1].tocsc()
-    lam = eigs(block, k=1, sigma=0, v0=np.ones(block.shape[0]),
+    lu = splu(block, permc_spec=_TX_PERMC, diag_pivot_thresh=_TX_PIVOT)
+    lam = eigs(block, k=1, sigma=0, v0=np.ones(block.shape[0]), ncv=_TX_NCV,
+               OPinv=LinearOperator(block.shape, lu.solve, dtype=complex),
                return_eigenvectors=False)[0]
     return -1.0 / lam.real
 

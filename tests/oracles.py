@@ -17,7 +17,12 @@ recurrence over every grid point with a complex accumulator.  The exact
 coefficient ring is checked part for part against its earlier form with four
 ``Fraction`` parts.  The closed-ramp Magnus stepper, which diagonalises the
 exponents of many steps at once by parity block, is checked against its
-earlier form: one dense ``eigh`` of the whole H per exponential.
+earlier form: one dense ``eigh`` of the whole H per exponential.  The T_X
+solve, one LU with a minimum-degree ordering and a relaxed pivot threshold
+under an 8-vector Krylov space, is checked against its earlier form:
+``eigs`` factorises the odd sector itself (COLAMD, partial pivoting) and
+runs ARPACK's default 20 vectors.  It shares the sector builder, which the
+``np.kron`` Liouvillian checks on its own.
 """
 
 import math
@@ -28,7 +33,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from kerrcat.fock import displacement_operator, parity_operator
+from kerrcat.dynamics import _liouvillian, _sector
+from kerrcat.fock import (annihilation, build_hamiltonian,
+                          displacement_operator, parity_operator)
 
 
 def jacobi_eigenvalues(mat, tol=1e-14, max_sweeps=60):
@@ -180,6 +187,19 @@ def kron_liouvillian(h, a_r, kappa, n_th):
                             - 0.5 * np.kron(od_o, eye)
                             - 0.5 * np.kron(eye, od_o.T))
     return liou
+
+
+def odd_sector_tx_reference(cfg, dim):
+    """T_X = -1 / Re lambda_1 of the Fock-basis sector m + n odd at ``dim``,
+    from ``eigs(k=1, sigma=0)`` with its own factor and default ``ncv``."""
+    from scipy.sparse.linalg import eigs
+
+    h = build_hamiltonian(cfg.params.with_(dim=dim))
+    liou = _liouvillian(h, annihilation(dim), cfg)
+    block = _sector(liou, np.arange(dim) % 2, True)[1].tocsc()
+    lam = eigs(block, k=1, sigma=0, v0=np.ones(block.shape[0]),
+               return_eigenvectors=False)[0]
+    return -1.0 / lam.real
 
 
 def greedy_pairing(parities, n_pairs):

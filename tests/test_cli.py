@@ -347,7 +347,7 @@ def test_lindblad_tx_sweep(tmp_path):
     tx = [float(r[header.index("t_x")]) for r in rows]
     assert tx[1] > tx[0] > 10.0
     assert header.index("rank") == header.index("lower_bound") + 1
-    assert all(32 <= int(r[header.index("rank")]) <= 40 for r in rows)
+    assert all(int(r[header.index("rank")]) == 40 for r in rows)
 
 
 def test_lindblad_tx_error_row_has_empty_rank(tmp_path):
@@ -363,7 +363,7 @@ def test_lindblad_tx_error_row_has_empty_rank(tmp_path):
     header, rows = read_csv(out)
     i_rank, i_err = header.index("rank"), header.index("error")
     assert (rows[0][i_rank], rows[0][i_err]) == ("", "ValueError")
-    assert int(rows[1][i_rank]) >= 32 and rows[1][i_err] == ""
+    assert int(rows[1][i_rank]) == 40 and rows[1][i_err] == ""
 
 
 def test_lindblad_tx_truncation_failure_is_an_error_row(tmp_path):

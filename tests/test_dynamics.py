@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import scipy.linalg
+import scipy.sparse.linalg
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
@@ -17,7 +18,7 @@ from kerrcat.fock import (HamiltonianParams, annihilation, build_hamiltonian,
                           parity_operator, quadrature_x)
 from kerrcat.spectra import eigensystem, localized_pair, tunnel_splitting
 
-from oracles import dense_cf4_step, kron_liouvillian
+from oracles import dense_cf4_step, kron_liouvillian, odd_sector_tx_reference
 
 
 def cfg_of(p, **kw):
@@ -390,6 +391,7 @@ def test_tx_solves_no_eigensystem_of_h(monkeypatch):
        dim=st.integers(4, 16))
 @example(delta=0.0, eps2=3.0, eps4=0.0, kappa=0.125, n_th=0.0, dim=15)
 @example(delta=0.0, eps2=1.875, eps4=0.0, kappa=0.001, n_th=0.0, dim=15)
+@example(delta=1.0, eps2=0.5, eps4=0.0, kappa=0.05, n_th=0.1, dim=4)
 def test_odd_sector_tx_matches_the_full_rank_eigenbasis_block(
         delta, eps2, eps4, kappa, n_th, dim):
     # the opposite-parity eigenbasis block at full rank spans the same
@@ -404,6 +406,49 @@ def test_odd_sector_tx_matches_the_full_rank_eigenbasis_block(
     want = -1.0 / (1.0 / mus[np.argmax(np.abs(mus))]).real
     assert kerrcat.dynamics._odd_sector_tx(cfg, dim) == pytest.approx(
         want, rel=1e-9)
+
+
+@pytest.mark.parametrize("delta, eps2, dim", [(2.0, 2.17, 60), (8.0, 4.0, 90)])
+def test_odd_sector_tx_matches_the_default_krylov_solve(delta, eps2, dim):
+    # the criterion-12 point and a large-detuning sector of 4050 entries
+    cfg = cfg_of(HamiltonianParams(delta=delta, eps2=eps2, dim=dim),
+                 kappa=1 / 50, n_th=0.05)
+    assert kerrcat.dynamics._odd_sector_tx(cfg, dim) == pytest.approx(
+        odd_sector_tx_reference(cfg, dim), rel=1e-9)
+
+
+class CountingLU:
+    """A SuperLU factor of ``block`` that counts its solves."""
+
+    def __init__(self, block, lu):
+        self.fill = (lu.L.nnz + lu.U.nnz) / block.nnz
+        self.lu, self.solves = lu, 0
+
+    def solve(self, rhs):
+        self.solves += 1
+        return self.lu.solve(rhs)
+
+
+@pytest.mark.parametrize("delta, eps2, max_solves",
+                         [(2.0, 2.17, 9), (0.5, 0.3, 17)])
+def test_odd_sector_tx_factorises_once_and_takes_few_solves(
+        monkeypatch, delta, eps2, max_solves):
+    # ARPACK's default Krylov size took 21 solves at both points; the
+    # shallow well separates lambda_1 least from the rest of the sector.
+    # The factor holds 6.0-6.5 entries per sector entry here, COLAMD 9.6-9.9
+    factors, splu = [], scipy.sparse.linalg.splu
+
+    def counting_splu(block, **kwargs):
+        factors.append(CountingLU(block, splu(block, **kwargs)))
+        return factors[-1]
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    cfg = cfg_of(HamiltonianParams(delta=delta, eps2=eps2, dim=60),
+                 kappa=1 / 50, n_th=0.05)
+    kerrcat.dynamics._odd_sector_tx(cfg, 60)
+    assert len(factors) == 1
+    assert factors[0].solves <= max_solves
+    assert factors[0].fill < 8
 
 
 def test_tx_lower_bound_flag():
