@@ -410,10 +410,10 @@ def _cosine_model(t, amp, freq, rate, offset):
 
 def fit_decaying_cosine(times, signal):
     """(angular frequency, decay time) of an exponentially decaying cosine."""
-    from scipy.optimize import curve_fit
+    from scipy.optimize import leastsq
 
-    times = np.asarray(times)
-    signal = np.asarray(signal)
+    times = np.asarray_chkfinite(times, dtype=float)
+    signal = np.asarray_chkfinite(signal, dtype=float)
     sig0 = signal - signal.mean()
     if np.max(np.abs(sig0)) < 1e-8:
         return 0.0, np.inf
@@ -421,13 +421,13 @@ def fit_decaying_cosine(times, signal):
     freqs = np.fft.rfftfreq(len(times), times[1] - times[0])
     spec = np.abs(np.fft.rfft(sig0))
     f0 = freqs[np.argmax(spec[1:]) + 1] * 2 * np.pi
-    try:
-        popt, _ = curve_fit(
-            _cosine_model, times, signal,
-            p0=[signal[0] - signal.mean(), f0, 1e-6, signal.mean()],
-            maxfev=20000)
+    popt, _, _, _, ier = leastsq(
+        lambda q: _cosine_model(times, *q) - signal,
+        [signal[0] - signal.mean(), f0, 1e-6, signal.mean()],
+        full_output=True, maxfev=20000)
+    if ier in (1, 2, 3, 4):
         freq, rate = abs(popt[1]), abs(popt[2])
-    except RuntimeError:
+    else:                          # MINPACK did not converge
         freq, rate = f0, 0.0
     return float(freq), float(1.0 / rate) if rate > 0 else np.inf
 

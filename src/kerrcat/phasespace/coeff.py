@@ -9,8 +9,7 @@ so every identity in the module tests exactly.
 A :class:`Coeff` holds four integer numerators (re, im, s_re, s_im) over one
 shared positive denominator, reduced by a single ``math.gcd`` whenever one is
 built, so equal values have equal parts and hash equal.  Products skip the
-sqrt(2*lambda) terms when neither factor has any, and real scales skip the
-imaginary cross terms.
+sqrt(2*lambda) terms when neither factor has any.
 """
 
 from __future__ import annotations
@@ -67,19 +66,11 @@ class Coeff:
 
     def __add__(self, o: "Coeff") -> "Coeff":
         d, e = self.den, o.den
-        if d == e:
-            return Coeff(self.re + o.re, self.im + o.im, self.s_re + o.s_re,
-                         self.s_im + o.s_im, d)
         return Coeff(self.re * e + o.re * d, self.im * e + o.im * d,
                      self.s_re * e + o.s_re * d, self.s_im * e + o.s_im * d, d * e)
 
     def __sub__(self, o: "Coeff") -> "Coeff":
-        d, e = self.den, o.den
-        if d == e:
-            return Coeff(self.re - o.re, self.im - o.im, self.s_re - o.s_re,
-                         self.s_im - o.s_im, d)
-        return Coeff(self.re * e - o.re * d, self.im * e - o.im * d,
-                     self.s_re * e - o.s_re * d, self.s_im * e - o.s_im * d, d * e)
+        return self + -o
 
     def __neg__(self) -> "Coeff":
         return Coeff(-self.re, -self.im, -self.s_re, -self.s_im, self.den)
@@ -99,19 +90,7 @@ class Coeff:
 
     def scale(self, re, im=0) -> "Coeff":
         """Multiply by the Gaussian rational re + i*im."""
-        if not im and type(re) is int:
-            return Coeff(self.re * re, self.im * re, self.s_re * re, self.s_im * re,
-                         self.den)
-        re, im = _fr(re), _fr(im)
-        x, y, d = re.numerator, im.numerator, re.denominator
-        if not y:
-            return Coeff(self.re * x, self.im * x, self.s_re * x, self.s_im * x,
-                         self.den * d)
-        e = im.denominator
-        x, y = x * e, y * d
-        return Coeff(self.re * x - self.im * y, self.re * y + self.im * x,
-                     self.s_re * x - self.s_im * y, self.s_re * y + self.s_im * x,
-                     self.den * d * e)
+        return self.mul(Coeff.of(re, im), 1)
 
     def conj(self) -> "Coeff":
         return Coeff(self.re, -self.im, self.s_re, -self.s_im, self.den)

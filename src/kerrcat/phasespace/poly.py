@@ -40,27 +40,55 @@ __all__ = [
 _ONE_HALF = Fraction(1, 2)
 
 
-class PhaseSpacePolynomial:
+class _Terms:
+    """Exact coefficients keyed by the exponent pair (j, k) of the monomial
+    ``_names[0]^j * _names[1]^k``, zero terms dropped, at one lambda > 0."""
+
+    __slots__ = ("lam", "terms")
+
+    def __init__(self, terms: dict | None = None, lam=1):
+        self.lam = Fraction(lam)
+        if self.lam <= 0:
+            raise ValueError("lambda must be positive")
+        self.terms = {key: c for key, c in (terms or {}).items() if not c.is_zero()}
+
+    def coefficient(self, j: int, k: int) -> Coeff:
+        return self.terms.get((j, k), Coeff())
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self._names == other._names and self.lam == other.lam
+                and self.terms == other.terms)
+
+    def __repr__(self):
+        (x, y), lamf = self._names, float(self.lam)
+        bits = [f"({c.to_complex(lamf):.6g})*{x}^{j}*{y}^{k}"
+                for (j, k), c in sorted(self.terms.items())]
+        return " + ".join(bits) if bits else "0"
+
+
+class PhaseSpacePolynomial(_Terms):
     """Finite polynomial in two conjugate variables with exact coefficients.
 
     ``terms`` maps the exponent pair (j, k) to a :class:`Coeff`, where the
     monomial is a^j (a*)^k in the ``"a"`` basis and x^j p^k in ``"xp"``.
     """
 
-    __slots__ = ("basis", "lam", "terms")
+    __slots__ = ("basis",)
 
     def __init__(self, basis: str, terms: dict | None = None, lam=1):
         if basis not in ("a", "xp"):
             raise ValueError(f"unknown basis tag {basis!r}")
         self.basis = basis
-        self.lam = Fraction(lam)
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                if not c.is_zero():
-                    self.terms[key] = c
+        super().__init__(terms, lam)
+
+    @property
+    def _names(self):
+        return ("a", "a*") if self.basis == "a" else ("x", "p")
 
     # -- construction helpers -------------------------------------------------
 
@@ -97,11 +125,6 @@ class PhaseSpacePolynomial:
         return PhaseSpacePolynomial(
             self.basis, {k: c.scale(re, im) for k, c in self.terms.items()}, self.lam)
 
-    def scale_coeff(self, c: Coeff):
-        two_lam = 2 * self.lam
-        return PhaseSpacePolynomial(
-            self.basis, {k: v.mul(c, two_lam) for k, v in self.terms.items()}, self.lam)
-
     def deriv(self, var: int, order: int = 1):
         """Partial derivative: var = 0 for a (or x), 1 for a* (or p)."""
         poly = self
@@ -117,27 +140,6 @@ class PhaseSpacePolynomial:
 
     def degree(self) -> int:
         return max((j + k for (j, k) in self.terms), default=-1)
-
-    def coefficient(self, j: int, k: int) -> Coeff:
-        return self.terms.get((j, k), Coeff())
-
-    def __eq__(self, other):
-        if not isinstance(other, PhaseSpacePolynomial):
-            return NotImplemented
-        return (self.basis == other.basis and self.lam == other.lam
-                and self.terms == other.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __repr__(self):
-        names = ("a", "a*") if self.basis == "a" else ("x", "p")
-        bits = []
-        for (j, k) in sorted(self.terms):
-            c = self.terms[(j, k)]
-            lamf = float(self.lam)
-            bits.append(f"({c.to_complex(lamf):.6g})*{names[0]}^{j}*{names[1]}^{k}")
-        return " + ".join(bits) if bits else "0"
 
 
 def a_var(lam=1):
@@ -267,11 +269,9 @@ def moyal_bracket(f, g):
 
 
 def poisson_bracket(f, g):
-    """Classical bracket {f, g} = f_x g_p - f_p g_x (basis-aware)."""
-    f._check(g)
-    raw = f.deriv(0) * g.deriv(1) - f.deriv(1) * g.deriv(0)
-    # in (a, a*): {f, g} = (f_a g_a* - f_a* g_a) / (i lam)
-    return raw if f.basis == "xp" else raw.scale(0, -1 / f.lam)
+    """Classical bracket {f, g} = f_x g_p - f_p g_x: the order-1 star term
+    times 2/(i lambda) in either basis."""
+    return star_term(f, g, 1).scale(0, -2 / f.lam)
 
 
 # -- basis conversion ---------------------------------------------------------
@@ -285,27 +285,20 @@ def convert_basis(poly: PhaseSpacePolynomial, to: str) -> PhaseSpacePolynomial:
     if to == poly.basis:
         return poly
     lam = poly.lam
-    two_lam = 2 * lam
     if to == "a":
         # x = (s/2)(a + a*), p = -i (s/2)(a - a*), s = sqrt(2 lam)
-        half_s = Coeff.of(0, 0, _ONE_HALF, 0)
-        first = (PhaseSpacePolynomial.monomial("a", 1, 0, 1, lam)
-                 + PhaseSpacePolynomial.monomial("a", 0, 1, 1, lam)).scale_coeff(half_s)
-        second = (PhaseSpacePolynomial.monomial("a", 1, 0, 1, lam)
-                  - PhaseSpacePolynomial.monomial("a", 0, 1, 1, lam)).scale_coeff(
-                      Coeff.of(0, 0, 0, -_ONE_HALF))
+        h = _ONE_HALF
+        subs = ({(1, 0): Coeff.of(0, 0, h), (0, 1): Coeff.of(0, 0, h)},
+                {(1, 0): Coeff.of(0, 0, 0, -h), (0, 1): Coeff.of(0, 0, 0, h)})
     else:
         # a = (x + i p) s / (2 lam), a* = (x - i p) s / (2 lam)
-        inv = Coeff.of(0, 0, Fraction(1, 1) / two_lam, 0)
-        first = (PhaseSpacePolynomial.monomial("xp", 1, 0, 1, lam)
-                 + PhaseSpacePolynomial.monomial("xp", 0, 1, Coeff.of(0, 1), lam)
-                 ).scale_coeff(inv)
-        second = (PhaseSpacePolynomial.monomial("xp", 1, 0, 1, lam)
-                  + PhaseSpacePolynomial.monomial("xp", 0, 1, Coeff.of(0, -1), lam)
-                  ).scale_coeff(inv)
+        h = 1 / (2 * lam)
+        subs = ({(1, 0): Coeff.of(0, 0, h), (0, 1): Coeff.of(0, 0, 0, h)},
+                {(1, 0): Coeff.of(0, 0, h), (0, 1): Coeff.of(0, 0, 0, -h)})
+    first, second = (PhaseSpacePolynomial(to, t, lam) for t in subs)
     out = PhaseSpacePolynomial.zero(to, lam)
     for (j, k), c in poly.terms.items():
-        mono = PhaseSpacePolynomial.monomial(to, 0, 0, 1, lam).scale_coeff(c)
+        mono = PhaseSpacePolynomial(to, {(0, 0): c}, lam)
         for _ in range(j):
             mono = mono * first
         for _ in range(k):
@@ -316,29 +309,14 @@ def convert_basis(poly: PhaseSpacePolynomial, to: str) -> PhaseSpacePolynomial:
 
 # -- operator polynomials and McCoy / Wigner maps -----------------------------
 
-class NormalOrderedOperatorPoly:
+class NormalOrderedOperatorPoly(_Terms):
     """Operator polynomial Sum c_{jk} (a^dag)^j a^k (normal order)."""
 
-    __slots__ = ("terms", "lam")
-
-    def __init__(self, terms: dict | None = None, lam=1):
-        self.lam = Fraction(lam)
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                if not c.is_zero():
-                    self.terms[key] = c
-
-    def coefficient(self, j: int, k: int) -> Coeff:
-        return self.terms.get((j, k), Coeff())
+    __slots__ = ()
+    _names = ("ad", "a")
 
     def is_hermitian(self) -> bool:
         return all(self.coefficient(k, j) == c.conj() for (j, k), c in self.terms.items())
-
-    def __eq__(self, other):
-        if not isinstance(other, NormalOrderedOperatorPoly):
-            return NotImplemented
-        return self.lam == other.lam and self.terms == other.terms
 
     def to_matrix(self, dim: int):
         """Dense Fock-basis matrix (for cross checks against kerrcat.fock)."""
@@ -352,12 +330,6 @@ class NormalOrderedOperatorPoly:
             out += c.to_complex(lamf) * (
                 np.linalg.matrix_power(ad, j) @ np.linalg.matrix_power(a, k))
         return out
-
-    def __repr__(self):
-        lamf = float(self.lam)
-        bits = [f"({c.to_complex(lamf):.6g})*ad^{j}*a^{k}"
-                for (j, k), c in sorted(self.terms.items())]
-        return " + ".join(bits) if bits else "0"
 
 
 def _swapped(terms: dict) -> dict:

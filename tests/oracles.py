@@ -7,7 +7,8 @@ displaced parity, or via the literal displaced parity operator with a matrix
 exponential instead of the Laguerre recurrence, separatrix areas via adaptive quadrature instead of the
 closed forms, and the exact phase-space algebra as the literal
 bidifferential series built from polynomial derivatives and pointwise
-products instead of the per-monomial-pair kernel.  The Liouvillian is
+products instead of the per-monomial-pair kernel (the Poisson bracket, the
+order-1 star term, against its first-derivative form).  The Liouvillian is
 written with dense ``np.kron`` instead of the sparse builder, in the
 same order of operations, so the two agree bit for bit.
 Opposite-parity pairs come from a greedy search over the parity sequence
@@ -154,6 +155,13 @@ def star_term_series(f, g, n):
     for _ in range(n):
         out = out.scale(Fraction(1, 2)) if f.basis == "a" else out.scale(0, f.lam / 2)
     return out
+
+
+def poisson_bracket_reference(f, g):
+    """{f, g} = f_x g_p - f_p g_x from derivative polynomials; in (a, a*)
+    it reads (f_a g_a* - f_a* g_a) / (i lambda)."""
+    raw = f.deriv(0) * g.deriv(1) - f.deriv(1) * g.deriv(0)
+    return raw if f.basis == "xp" else raw.scale(0, -1 / f.lam)
 
 
 def star_product_series(f, g):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import scipy.linalg
+import scipy.optimize
 import scipy.sparse.linalg
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
@@ -130,6 +131,26 @@ def test_fewer_than_two_samples_is_rejected(n_samples):
         LindbladConfig(params=p, t_final=100.0, n_samples=n_samples)
 
 
+_P8 = HamiltonianParams(delta=1.0, eps2=0.5, dim=8)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: LindbladConfig(params=_P8, kappa=np.inf), "must be finite"),
+    (lambda: well_projectors(eigensystem(build_hamiltonian(_P8)), 5), "does not expose 5"),
+    (lambda: evolve(cfg_of(_P8, initial_state="middle")), "unknown initial state tag"),
+    (lambda: evolve(cfg_of(_P8, initial_state=np.eye(3))), "wrong shape"),
+    (lambda: evolve(cfg_of(_P8, kappa=0.1, method="unitary")), "requires kappa = 0"),
+    (lambda: evolve(cfg_of(_P8, method="leapfrog")), "unknown method"),
+    (lambda: rabi_map(_P8, "kerr", [1.0], [0.0, 1.0]), "axis must be"),
+    (lambda: RampProtocol(()), "at least one segment"),
+    (lambda: fit_decaying_cosine([0.0, 1.0, 2.0], [1.0, np.nan, 0.0]), "infs or NaNs"),
+], ids=["kappa-inf", "n-pairs", "init-tag", "init-shape", "unitary-kappa",
+        "method", "rabi-axis", "no-segments", "fit-nan"])
+def test_input_checks_raise(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 # -- evolution -------------------------------------------------------------------
 
 def test_damped_fock_state_photon_decay():
@@ -153,6 +174,19 @@ def test_rabi_frequency_matches_splitting():
     # closed evolution conserves <H> (here via constant purity/trace and s-range)
     assert np.abs(traj.trace - 1.0).max() < 1e-12
     assert traj.s.max() <= 1 + 1e-9
+
+
+def test_fit_falls_back_to_the_fft_seed_without_convergence(monkeypatch):
+    t = np.linspace(0.0, 20.0, 201)
+    freq, tau = fit_decaying_cosine(t, 0.5 * np.cos(1.3 * t) * np.exp(-t / 15) + 0.1)
+    assert freq == pytest.approx(1.3, rel=1e-9) and tau == pytest.approx(15, rel=1e-9)
+    # MINPACK's ier = 5: the call limit was reached
+    monkeypatch.setattr(scipy.optimize, "leastsq",
+                        lambda *args, **kw: (np.full(4, np.nan), None, {}, "", 5))
+    freq, tau = fit_decaying_cosine(t, np.cos(1.3 * t))
+    bin_width = 2 * np.pi / (len(t) * (t[1] - t[0]))
+    assert tau == np.inf
+    assert freq == pytest.approx(round(1.3 / bin_width) * bin_width, rel=1e-12)
 
 
 def test_cancellation_freezes_well_signal():

@@ -145,6 +145,19 @@ def test_displaced_hamiltonian_alpha_zero():
     assert np.abs(displaced_hamiltonian(p, 0.0) - build_hamiltonian(p)).max() < 1e-14
 
 
+@pytest.mark.parametrize("eps4", [0.1, 2.0])
+def test_displaced_hamiltonian_rejects_a_quartic_drive(eps4):
+    p = HamiltonianParams(delta=1.0, eps2=1.0, eps4=eps4, dim=10)
+    with pytest.raises(ValueError, match="requires eps4 = 0"):
+        displaced_hamiltonian(p, 1.0)
+
+
+@pytest.mark.parametrize("dim", [4, 9])
+def test_coherent_state_at_zero_is_the_vacuum(dim):
+    vac = coherent_state(0, dim)
+    assert vac.dtype == complex and vac.tolist() == np.eye(dim)[0].tolist()
+
+
 def test_displaced_hamiltonian_matches_conjugation():
     p = HamiltonianParams(delta=4.0, kerr=1.0, eps2=2.0, dim=80)
     alpha = np.sqrt(p.eps2 / p.kerr)

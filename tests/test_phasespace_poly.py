@@ -20,7 +20,8 @@ from kerrcat.phasespace.poly import (NormalOrderedOperatorPoly,
                                      star_commutator, star_product, star_term,
                                      wigner_transform_operator, x_var)
 from oracles import (FractionCoeff, exp_mixed_deriv_series,
-                     star_product_series, star_term_series)
+                     poisson_bracket_reference, star_product_series,
+                     star_term_series)
 
 HALF = Fraction(1, 2)
 
@@ -58,6 +59,57 @@ def exact_polys(draw, basis, lam):
     other = "xp" if basis == "a" else "a"
     return (PhaseSpacePolynomial(basis, terms(), lam)
             + convert_basis(PhaseSpacePolynomial(other, terms(), lam), basis))
+
+
+# -- the shared term container ------------------------------------------------
+
+def test_polynomial_reprs():
+    f = PhaseSpacePolynomial("a", {(1, 1): Coeff.of(HALF), (0, 2): Coeff.of(0, -2),
+                                   (1, 0): Coeff.of(0, 0, 1)}, HALF)
+    assert repr(f) == "(0-2j)*a^0*a*^2 + (1+0j)*a^1*a*^0 + (0.5+0j)*a^1*a*^1"
+    g = PhaseSpacePolynomial("xp", {(2, 0): Coeff.of(1),
+                                    (0, 1): Coeff.of(-Fraction(3, 4), 1)}, 2)
+    assert repr(g) == "(-0.75+1j)*x^0*p^1 + (1+0j)*x^2*p^0"
+    op = NormalOrderedOperatorPoly({(1, 1): Coeff.of(3), (0, 2): Coeff.of(0, Fraction(1, 3))})
+    assert repr(op) == "(0+0.333333j)*ad^0*a^2 + (3+0j)*ad^1*a^1"
+    assert repr(PhaseSpacePolynomial("xp")) == repr(NormalOrderedOperatorPoly()) == "0"
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: PhaseSpacePolynomial("q"), "unknown basis tag"),
+    (lambda: PhaseSpacePolynomial("a", lam=0), "lambda must be positive"),
+    (lambda: PhaseSpacePolynomial("xp", {(1, 0): Coeff.of(1)}, -1), "lambda must be positive"),
+    (lambda: NormalOrderedOperatorPoly(lam=0), "lambda must be positive"),
+    (lambda: NormalOrderedOperatorPoly({(1, 1): Coeff.of(1)}, -HALF), "lambda must be positive"),
+    (lambda: a_var() + x_var(), "mismatch"),
+    (lambda: a_var() + a_var(2), "mismatch"),
+    (lambda: mccoy_x_ordered_symbol(a_var()), "x-ordered McCoy"),
+], ids=["basis", "psp-lam-0", "psp-lam-neg", "op-lam-0", "op-lam-neg",
+        "add-basis", "add-lam", "x-ordered-on-a"])
+def test_bad_polynomial_inputs_raise(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+def test_term_container_equality():
+    terms = {(1, 1): Coeff.of(1), (2, 0): Coeff()}
+    assert PhaseSpacePolynomial("a", terms).terms == {(1, 1): Coeff.of(1)}
+    assert NormalOrderedOperatorPoly(terms) == NormalOrderedOperatorPoly({(1, 1): Coeff.of(1)})
+    assert NormalOrderedOperatorPoly(terms).coefficient(2, 0) == Coeff()
+    assert NormalOrderedOperatorPoly(terms) != PhaseSpacePolynomial("a", terms)
+    assert PhaseSpacePolynomial("a", terms) != PhaseSpacePolynomial("xp", terms)
+    assert PhaseSpacePolynomial("a", terms) != PhaseSpacePolynomial("a", terms, 2)
+    assert NormalOrderedOperatorPoly(terms) != NormalOrderedOperatorPoly(terms, HALF)
+    assert (Coeff() == 0) is False
+
+
+def test_hamiltonian_operator_poly_quartic_drive():
+    op = hamiltonian_operator_poly(Fraction(3, 2), 1, Fraction(3, 4), eps4=Fraction(1, 5))
+    assert op == NormalOrderedOperatorPoly(
+        {(1, 1): Coeff.of(Fraction(3, 2)), (2, 2): Coeff.of(-1),
+         (2, 0): Coeff.of(Fraction(3, 4)), (0, 2): Coeff.of(Fraction(3, 4)),
+         (4, 0): Coeff.of(Fraction(1, 5)), (0, 4): Coeff.of(Fraction(1, 5))})
+    assert op.is_hermitian()
 
 
 # -- Wigner transform table ----------------------------------------------------
@@ -125,6 +177,14 @@ def test_moyal_minus_poisson_scales_as_lambda_squared():
     quartered = {k: c.scale(Fraction(1, 4)) for k, c in diffs[1].items()}
     assert quartered == diffs[Fraction(1, 2)]
     assert diffs[1]   # Groenewold: corrections exist at all for quartic pairs
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.data(), st.sampled_from(("a", "xp")), _LAMBDAS)
+def test_poisson_bracket_matches_derivative_form(data, basis, lam):
+    f = data.draw(exact_polys(basis, lam))
+    g = data.draw(exact_polys(basis, lam))
+    assert poisson_bracket(f, g) == poisson_bracket_reference(f, g)
 
 
 def test_groenewold_obstruction_witness():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kerrcat import cli, fock, spectra
-from kerrcat.errors import PoleError
+from kerrcat.errors import InvalidDimensionError, PoleError
 from kerrcat.fock import (HamiltonianParams, build_hamiltonian, coherent_state,
                           quadrature_x)
 from kerrcat.spectra import (EigenSystem, _pair_up, align_offset,
@@ -377,6 +377,25 @@ def test_second_order_matches_full_diagonalisation():
 def test_second_order_pole():
     with pytest.raises(PoleError):
         second_order_energy(0, HamiltonianParams(delta=1.0, eps2=0.1, dim=10))
+
+
+@pytest.mark.parametrize("call, exc, match", [
+    (lambda: splitting_sweep(HamiltonianParams(delta=1.0, eps2=0.5, dim=10), [1.0, 0.5]),
+     ValueError, "strictly increasing"),
+    (lambda: degeneracy_check(-1, 1.0), ValueError, "non-negative"),
+    (lambda: degeneracy_check(3, 1.0, dim=8), InvalidDimensionError, "too small for m=3"),
+    (lambda: resonant_displaced_hamiltonian(-1, 1.0), ValueError, "non-negative"),
+    (lambda: second_order_energy(-1, HamiltonianParams(delta=1.0, eps2=0.1, dim=10)),
+     ValueError, "level must be"),
+    (lambda: second_order_energy(2, HamiltonianParams(delta=1.0, eps2=0.1, dim=10)),
+     PoleError, "downward"),
+    (lambda: localized_pair(eigensystem(build_hamiltonian(
+        HamiltonianParams(delta=1.0, eps2=1.0, dim=4))), 2), ValueError, "not enough"),
+], ids=["sweep-order", "degeneracy-m", "degeneracy-dim", "displaced-m",
+        "second-order-level", "second-order-pole", "pair-index"])
+def test_input_checks_raise(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()
 
 
 def test_localized_pair_overlaps_coherent_states():

@@ -56,6 +56,13 @@ def test_write_json_matches_json_dump_for_a_grid(tmp_path):
     assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
+@pytest.mark.parametrize("values", [(), (1.0,), (1.0, 2.0, 3.0)])
+def test_append_rejects_a_row_of_the_wrong_length(values):
+    table = SweepResult(["a", "b"])
+    with pytest.raises(ValueError, match=f"expected 2 values, got {len(values)}"):
+        table.append(*values)
+
+
 @pytest.mark.parametrize("indent", [None, 1])
 def test_write_json_matches_json_dump_for_numpy_scalars(tmp_path, indent):
     payload = {"columns": ["a", "b"], "meta": {"seed": 3, "subcommand": "splitting"},
