@@ -24,17 +24,19 @@ Photon parity is a weak symmetry of the Lindbladian: it couples no element
 rho_mn with m + n even to one with m + n odd (in the eigenbasis of H, none
 with equal parities i, j to one with opposite ones).  One builder,
 ``_liouvillian``, assembles the sparse Kronecker-form Liouvillian in a given
-basis: ``rk4``, the open ramp and ``lindblad_rhs`` apply it in the Fock
-basis, and ``_sector`` cuts one of these two sectors from it, both in the
-eigenbasis for ``expm`` and the odd one in the Fock basis for
+basis, on the rows of the index pairs it is asked for: ``rk4``, the open
+ramp and ``lindblad_rhs`` take all of them in the Fock basis, and
+``_sector`` assembles one of these two sectors and never the other, both in
+the eigenbasis for ``expm`` and the odd one in the Fock basis for
 ``tx_lifetime``.  ``tx_lifetime`` does not step in time: T_X = -1 / Re
 lambda_1, lambda_1 the eigenvalue nearest 0 of the sector m + n odd, where
 the well signal lives; H is never diagonalised.  Each solve factorises the
-sector once (SuperLU, minimum-degree ordering of A^T + A, pivot threshold
-0.1: about 0.6x the fill of COLAMD with partial pivoting) and runs ARPACK
-shift-invert at sigma = 0 on that factor with 8 Krylov vectors: lambda_1 lies
-far closer to 0 than the rest of the sector, so this takes 9 LU solves at
-most points, against 21 at ARPACK's default of 20.  T_X at dim and dim + 12
+sector once (SuperLU in symmetric mode: minimum-degree ordering of A^T + A,
+diagonal pivots at threshold 0.1; about 0.6x the fill of COLAMD with
+partial pivoting) and runs ARPACK shift-invert at sigma = 0 on that factor
+with 8 Krylov vectors: lambda_1 lies far closer to 0 than the rest of the
+sector, so this takes 9 LU solves at most points, against 21 at ARPACK's
+default of 20.  T_X at dim and dim + 12
 must agree to 1e-6 relative, else ``TruncationRiskError``: this certifies
 the truncation.  ``rank``, ``initial_state``, ``n_samples``, ``n_pairs``
 and ``method`` do not enter T_X.
@@ -332,34 +334,107 @@ def _jumps(cfg: LindbladConfig, a: np.ndarray) -> list:
             if rate > 0]
 
 
-def _liouvillian(h: np.ndarray, a: np.ndarray, cfg: LindbladConfig):
+def _liouvillian(h: np.ndarray, a: np.ndarray, cfg: LindbladConfig, keep=None):
     """The CSR Liouvillian in the basis where H is ``h`` and the loss jump is
-    ``a``, acting on row-major vec rho: vec(A rho B) = kron(A, B^T) vec rho."""
+    ``a``, acting on row-major vec rho, over the index pairs (i, j) that the
+    flat row-major mask ``keep`` selects (all by default), in that order.
+
+    Each entry is -1j (H x 1 - 1 x H^T) + sum rate ((A x A* - O x 1 / 2) -
+    1 x O^T / 2) over the ``_jumps`` (rate, A), O = A^dag A, vec(A rho B) =
+    kron(A, B^T) vec rho, in this order of operations, so that for real h
+    and a (the Fock basis and the eigenbasis of H) the block equals the
+    ``np.kron`` form bit for bit.  Only the kept rows are built.
+    Row (i, j) has its entries at (k, j) and (i, l) for the nonzeros k of H
+    and O in row i and l in column j (and of A in rows i and j where A has
+    a diagonal), and at (k, l), k != i and l != j, for the nonzeros of the
+    jumps in rows i and j; each set is laid out in column order, and their
+    sum drops the zero entries.
+    """
     import scipy.sparse as sp
 
-    eye = sp.identity(len(h), format="csr")
+    n, nn = len(h), len(h) ** 2
+    jumps = [(rate, op, op.conj().T @ op) for rate, op in _jumps(cfg, a)]
+    rows = np.arange(nn) if keep is None else np.flatnonzero(keep)
+    i, j = np.divmod(rows, n)
+    # column k n + l -> block column, or -1: not kept, or a padded k or l
+    local = np.full(2 * nn + 1, -1)
+    local[rows] = np.arange(len(rows))
+    z = np.zeros(1)                     # a term without an entry there
 
-    def kron(x, y):
-        return sp.kron(x, y, format="csr")
+    def entries(h_ik, h_lj, terms):
+        liou = -1j * (h_ik - h_lj)
+        for (rate, _, _), (aa, o_ik, o_lj) in zip(jumps, terms):
+            liou = liou + rate * ((aa - 0.5 * o_ik) - 0.5 * o_lj)
+        return liou
 
-    liou = -1j * (kron(h, eye) - kron(eye, h.T))
-    for rate, op in _jumps(cfg, a):
-        od_o = op.conj().T @ op
-        liou = liou + rate * (kron(op, op.conj())
-                              - 0.5 * kron(od_o, eye)
-                              - 0.5 * kron(eye, od_o.T))
-    return liou
+    def csr(cols, vals):    # cols[r], vals[r]: kept row r's candidates
+        at = np.flatnonzero(local[cols] >= 0)
+        indptr = np.zeros(len(rows) + 1, int)
+        np.cumsum(np.bincount(at // np.prod(cols.shape[1:]),
+                              minlength=len(rows)), out=indptr[1:])
+        vals = np.broadcast_to(vals, cols.shape).ravel()[at]
+        return sp.csr_matrix((vals, local[cols.ravel()[at]], indptr),
+                             shape=(len(rows), len(rows)))
+
+    hop = sum((op != 0 for _, op, _ in jumps), np.zeros((n, n), bool))
+    side = sum((o != 0 for _, _, o in jumps), h != 0)
+    # (k, j), k != i in row i of k_of, and (i, l), l != j in row j of l_of;
+    # split at the diagonal, (k < i, l < j, (i, j), l > j, k > i) is column
+    # order
+    diag_a = hop if hop.diagonal().any() else False
+    k_of, l_of = side | diag_a, side.T | diag_a
+    ks = [_row_nonzeros(np.tril(k_of, -1)), _row_nonzeros(np.triu(k_of, 1))]
+    ls = [_row_nonzeros(np.tril(l_of, -1)), _row_nonzeros(np.triu(l_of, 1))]
+    nk, nl = ks[0].shape[1], ls[0].shape[1]
+    ks, ls = np.hstack(ks), np.hstack(ls)
+    at_k = entries(_take(h, ks, i), z, [
+        (_take(op, ks, i) * op.conj().diagonal()[j, None], _take(o, ks, i), z)
+        for _, op, o in jumps])
+    at_l = entries(z, _take(h.T, ls, j), [
+        (op.diagonal()[i, None] * _take(op.conj(), ls, j), z, _take(o.T, ls, j))
+        for _, op, o in jumps])
+    at_ij = entries(h.diagonal()[i], h.diagonal()[j], [
+        (op.diagonal()[i] * op.conj().diagonal()[j], o.diagonal()[i],
+         o.diagonal()[j]) for _, op, o in jumps])[:, None]
+    col_k = np.take(ks * n, i, 0) + j[:, None]
+    col_l = i[:, None] * n + np.take(np.where(ls < n, ls, nn), j, 0)
+    lr = csr(np.hstack((col_k[:, :nk], col_l[:, :nl], rows[:, None],
+                        col_l[:, nl:], col_k[:, nk:])),
+             np.hstack((at_k[:, :nk], at_l[:, :nl], at_ij, at_l[:, nl:],
+                        at_k[:, nk:])))
+    # (k, l), k != i and l != j: only the A x A* terms reach them
+    ks = _row_nonzeros(hop & ~np.eye(n, dtype=bool))
+    col_kl = (np.take(ks * n, i, 0)[:, :, None]
+              + np.take(np.where(ks < n, ks, nn), j, 0)[:, None, :])
+    at_kl = entries(z, z, [(_take(op, ks, i)[:, :, None]
+                            * _take(op.conj(), ks, j)[:, None, :], z, z)
+                           for _, op, _ in jumps])
+    return lr + csr(col_kl, at_kl)
 
 
-def _sector(liou, par, odd: bool):
+def _row_nonzeros(mask: np.ndarray) -> np.ndarray:
+    """The column indices of the True entries of each row of the square
+    ``mask``, ascending, padded on the right with len(mask)."""
+    out = np.where(mask, np.arange(len(mask)), len(mask))
+    out.sort(axis=1)
+    return out[:, :max(int(mask.sum(1).max(initial=0)), 1)]
+
+
+def _take(x: np.ndarray, index: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """x[r, index[r]] for each row r in ``at``; 0 where the index is
+    len(x)."""
+    x = np.hstack((x, np.zeros((len(x), 1))))
+    return np.take(np.take_along_axis(x, index, 1), at, 0)
+
+
+def _sector(h, a, cfg: LindbladConfig, par, odd: bool):
     """Index pairs (i, j) with parities par_i != par_j (``odd``) or
-    par_i == par_j, in row-major order, and the CSR block over them of the
-    ``_liouvillian`` ``liou`` in a basis with parities ``par``.  Parity is a
-    weak symmetry, so the two sectors are the whole Liouvillian: it couples
-    no even pair to an odd one."""
-    pairs = np.nonzero((par[:, None] != par[None, :]) == odd)
-    index = np.ravel_multi_index(pairs, (len(par), len(par)))
-    return pairs, liou[index][:, index]
+    par_i == par_j, in row-major order, and the ``_liouvillian`` block over
+    them in a basis where H is ``h``, the loss jump ``a`` and the parities
+    ``par``.  Parity is a weak symmetry, so the two sectors are the whole
+    Liouvillian: it couples no even pair to an odd one."""
+    keep = (par[:, None] != par[None, :]) == odd
+    return np.nonzero(keep), _liouvillian(h, a, cfg, keep.ravel())
 
 
 def _evolve_expm(sys: _System) -> Trajectory:
@@ -382,10 +457,9 @@ def _evolve_expm(sys: _System) -> Trajectory:
     else:
         raise IntegrationError("eigenbasis rank did not certify in 4 tries")
     tau = sys.cfg.t_final / (sys.cfg.n_samples - 1)
-    liou = _liouvillian(np.diag(sys.es.eigenvalues[:rank]),
-                        vr.conj().T @ sys.a @ vr, sys.cfg)
+    h_r, a_r = np.diag(sys.es.eigenvalues[:rank]), vr.conj().T @ sys.a @ vr
     props = [(pairs, expm(block.toarray() * tau)) for pairs, block
-             in (_sector(liou, sys.es.parities[:rank], odd)
+             in (_sector(h_r, a_r, sys.cfg, sys.es.parities[:rank], odd)
                  for odd in (False, True))]
 
     def step(rho, k, dt, per):      # per = 1: one propagator step
@@ -490,8 +564,11 @@ def tx_lifetime(cfg: LindbladConfig) -> TxEstimate:
 # may pivot on the diagonal: at dim 72 (delta = 2, eps2 = 2.17) it leaves
 # 119k nonzeros at threshold 0.1 and 228k at the default 1.0, against
 # COLAMD's 200k.  Against that COLAMD solve T_X moved by 7e-12 relative at
-# threshold 0.1 and 2e-9 at 0.01 (dim 150, delta = 8, eps2 = 4).
+# threshold 0.1 and 2e-9 at 0.01 (dim 150, delta = 8, eps2 = 4).  Symmetric
+# mode leaves that fill as it is and factors 15-30% faster at dims 60-72;
+# T_X moved by <= 1.7e-12 relative on the criterion-12 grid.
 _TX_PERMC, _TX_PIVOT = "MMD_AT_PLUS_A", 0.1
+_TX_OPTIONS = {"SymmetricMode": True}
 # Krylov size of the shift-invert run: 9 LU solves at most points, 17 in a
 # shallow well (delta = 0.5, eps2 = 0.3).  4 failed to converge on sectors of
 # dim <= 16.  ARPACK needs ncv <= the sector size, 8 at the smallest dim, 4.
@@ -503,15 +580,16 @@ def _odd_sector_tx(cfg: LindbladConfig, dim: int) -> float:
     Liouvillian at ``dim`` on its ``_sector`` rho_mn with m + n odd.
 
     One sparse LU of the sector, ordered by ``_TX_PERMC`` with pivot
-    threshold ``_TX_PIVOT``, serves as the shift-invert operator of a
-    ``_TX_NCV``-vector ARPACK run at sigma = 0 (see the constants for why).
+    threshold ``_TX_PIVOT`` in symmetric mode (``_TX_OPTIONS``), serves as
+    the shift-invert operator of a ``_TX_NCV``-vector ARPACK run at sigma =
+    0 (see the constants for why).
     """
     from scipy.sparse.linalg import LinearOperator, eigs, splu
 
     h = build_hamiltonian(cfg.params.with_(dim=dim))
-    liou = _liouvillian(h, annihilation(dim), cfg)
-    block = _sector(liou, np.arange(dim) % 2, True)[1].tocsc()
-    lu = splu(block, permc_spec=_TX_PERMC, diag_pivot_thresh=_TX_PIVOT)
+    block = _sector(h, annihilation(dim), cfg, np.arange(dim) % 2, True)[1].tocsc()
+    lu = splu(block, permc_spec=_TX_PERMC, diag_pivot_thresh=_TX_PIVOT,
+              options=_TX_OPTIONS)
     lam = eigs(block, k=1, sigma=0, v0=np.ones(block.shape[0]), ncv=_TX_NCV,
                OPinv=LinearOperator(block.shape, lu.solve, dtype=complex),
                return_eigenvectors=False)[0]

@@ -10,7 +10,9 @@ bidifferential series built from polynomial derivatives and pointwise
 products instead of the per-monomial-pair kernel (the Poisson bracket, the
 order-1 star term, against its first-derivative form).  The Liouvillian is
 written with dense ``np.kron`` instead of the sparse builder, in the
-same order of operations, so the two agree bit for bit.
+same order of operations, so the two agree bit for bit; at sizes where a
+dense one is too big, as the whole ``scipy.sparse.kron`` operator with the
+parity sector cut from it, the builder's earlier form.
 Opposite-parity pairs come from a greedy search over the parity sequence
 instead of indexing the even and odd states.  The Wigner grid kernel is
 checked byte for byte against its earlier form, which runs the Laguerre
@@ -22,8 +24,8 @@ earlier form: one dense ``eigh`` of the whole H per exponential.  The T_X
 solve, one LU with a minimum-degree ordering and a relaxed pivot threshold
 under an 8-vector Krylov space, is checked against its earlier form:
 ``eigs`` factorises the odd sector itself (COLAMD, partial pivoting) and
-runs ARPACK's default 20 vectors.  It shares the sector builder, which the
-``np.kron`` Liouvillian checks on its own.
+runs ARPACK's default 20 vectors, on the sector cut from the sparse
+``kron`` operator.
 """
 
 import math
@@ -34,7 +36,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from kerrcat.dynamics import _liouvillian, _sector
+from kerrcat.dynamics import _jumps
 from kerrcat.fock import (annihilation, build_hamiltonian,
                           displacement_operator, parity_operator)
 
@@ -197,14 +199,38 @@ def kron_liouvillian(h, a_r, kappa, n_th):
     return liou
 
 
+def sector_reference(h, a, cfg, par=None, odd=True):
+    """The CSR Liouvillian in the basis where H is ``h`` and the loss jump is
+    ``a``, as eight ``scipy.sparse.kron`` products over all index pairs,
+    then cut to the pairs (i, j) with parities ``par`` opposite (``odd``) or
+    equal; the whole operator when ``par`` is None."""
+    import scipy.sparse as sp
+
+    eye = sp.identity(len(h), format="csr")
+
+    def kron(x, y):
+        return sp.kron(x, y, format="csr")
+
+    liou = -1j * (kron(h, eye) - kron(eye, h.T))
+    for rate, op in _jumps(cfg, a):
+        od_o = op.conj().T @ op
+        liou = liou + rate * (kron(op, op.conj())
+                              - 0.5 * kron(od_o, eye)
+                              - 0.5 * kron(eye, od_o.T))
+    if par is None:
+        return liou
+    index = np.flatnonzero((par[:, None] != par[None, :]) == odd)
+    return liou[index][:, index]
+
+
 def odd_sector_tx_reference(cfg, dim):
     """T_X = -1 / Re lambda_1 of the Fock-basis sector m + n odd at ``dim``,
     from ``eigs(k=1, sigma=0)`` with its own factor and default ``ncv``."""
     from scipy.sparse.linalg import eigs
 
     h = build_hamiltonian(cfg.params.with_(dim=dim))
-    liou = _liouvillian(h, annihilation(dim), cfg)
-    block = _sector(liou, np.arange(dim) % 2, True)[1].tocsc()
+    block = sector_reference(h, annihilation(dim), cfg,
+                             np.arange(dim) % 2).tocsc()
     lam = eigs(block, k=1, sigma=0, v0=np.ones(block.shape[0]),
                return_eigenvectors=False)[0]
     return -1.0 / lam.real

@@ -76,6 +76,28 @@ def test_splitting_golden_regression(tmp_path):
         assert row[8] == gold[8]
 
 
+def test_lindblad_tx_golden_regression(tmp_path):
+    # T_X across both peaks (delta = 2, 4) and the valleys at eps2 = 2.17,
+    # and in the shallow well eps2 = 0.3, at dim 40: three delta pairs
+    header, rows = None, []
+    for start, stop in ((0.5, 2.0), (2.9, 4.0), (5.5, 7.0)):
+        cfg = write_cfg(tmp_path, {
+            "fixed": {"dim": 40, "kappa": 0.02, "n_th": 0.05},
+            "axes": [{"name": "delta", "start": start, "stop": stop, "count": 2},
+                     {"name": "eps2", "start": 2.17, "stop": 0.3, "count": 2}]})
+        out = tmp_path / "tx.csv"
+        assert cli.main(["lindblad", "--config", cfg, "--out", str(out)]) == 0
+        header, part = read_csv(out)
+        rows += part
+    gheader, grows = read_csv(DATA / "golden_lindblad_tx.csv")
+    assert header == gheader
+    assert len(rows) == len(grows) == 12
+    i_tx = header.index("t_x")
+    for row, gold in zip(rows, grows):
+        assert float(row[i_tx]) == pytest.approx(float(gold[i_tx]), rel=1e-9)
+        assert row[:i_tx] + row[i_tx + 1:] == gold[:i_tx] + gold[i_tx + 1:]
+
+
 def test_phase_column_matches_classifier(tmp_path):
     cfg = write_cfg(tmp_path, splitting_cfg(dim=60))
     out = tmp_path / "t.csv"

@@ -19,7 +19,8 @@ from kerrcat.fock import (HamiltonianParams, annihilation, build_hamiltonian,
                           parity_operator, quadrature_x)
 from kerrcat.spectra import eigensystem, localized_pair, tunnel_splitting
 
-from oracles import dense_cf4_step, kron_liouvillian, odd_sector_tx_reference
+from oracles import (dense_cf4_step, kron_liouvillian, odd_sector_tx_reference,
+                     sector_reference)
 
 
 def cfg_of(p, **kw):
@@ -29,9 +30,9 @@ def cfg_of(p, **kw):
 def eigen_sector(sys, rank, odd):
     """``_sector`` in the top ``rank`` eigenvectors of H: (pairs, dense block)."""
     vr = sys.es.eigenvectors[:, :rank]
-    liou = kerrcat.dynamics._liouvillian(
-        np.diag(sys.es.eigenvalues[:rank]), vr.conj().T @ sys.a @ vr, sys.cfg)
-    pairs, block = kerrcat.dynamics._sector(liou, sys.es.parities[:rank], odd)
+    pairs, block = kerrcat.dynamics._sector(
+        np.diag(sys.es.eigenvalues[:rank]), vr.conj().T @ sys.a @ vr, sys.cfg,
+        sys.es.parities[:rank], odd)
     return pairs, block.toarray()
 
 
@@ -485,6 +486,39 @@ def test_odd_sector_tx_factorises_once_and_takes_few_solves(
     assert factors[0].fill < 8
 
 
+def test_tx_factors_in_symmetric_mode_and_builds_only_the_odd_sector(
+        monkeypatch):
+    # each of the two solves (dim and dim + 12) assembles the rows m + n
+    # odd and nothing else, and factors them with a symmetric ordering and
+    # diagonal pivoting
+    factors, splu = [], scipy.sparse.linalg.splu
+    builds, build = [], kerrcat.dynamics._liouvillian
+
+    def counting_splu(block, **kwargs):
+        factors.append((CountingLU(block, splu(block, **kwargs)), kwargs))
+        return factors[-1][0]
+
+    def spying_build(h, a, cfg, keep=None):
+        builds.append((len(h), keep))
+        return build(h, a, cfg, keep)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    monkeypatch.setattr(kerrcat.dynamics, "_liouvillian", spying_build)
+    p = HamiltonianParams(delta=2.0, eps2=2.17, dim=60)
+    tx_lifetime(cfg_of(p, kappa=1 / 50, n_th=0.05, t_final=6000.0))
+    assert [dim for dim, _ in builds] == [60, 72]
+    for dim, keep in builds:
+        m, n = np.divmod(np.flatnonzero(keep), dim)
+        assert len(m) == dim * dim // 2
+        assert np.all((m + n) % 2 == 1)
+    assert len(factors) == 2
+    for lu, kwargs in factors:
+        assert kwargs["options"] == {"SymmetricMode": True}
+        assert kwargs["permc_spec"] == "MMD_AT_PLUS_A"
+        assert kwargs["diag_pivot_thresh"] == 0.1
+        assert lu.fill < 8
+
+
 def test_tx_lower_bound_flag():
     # delta = 2 cancellation point with a horizon far too short to see decay
     p = HamiltonianParams(delta=2.0, eps2=2.17, dim=40)
@@ -570,11 +604,78 @@ def test_fock_sectors_match_the_kron_oracle(delta, eps2, eps4, kappa, n_th,
     odd, even = np.flatnonzero(odd_pair), np.flatnonzero(~odd_pair)
     assert np.all(full[np.ix_(even, odd)] == 0)
     assert np.all(full[np.ix_(odd, even)] == 0)
-    liou = kerrcat.dynamics._liouvillian(h, a, cfg_of(p, kappa=kappa, n_th=n_th))
+    cfg = cfg_of(p, kappa=kappa, n_th=n_th)
     for is_odd, index in ((False, even), (True, odd)):
-        pairs, block = kerrcat.dynamics._sector(liou, n % 2, is_odd)
+        pairs, block = kerrcat.dynamics._sector(h, a, cfg, n % 2, is_odd)
         assert np.array_equal(np.ravel_multi_index(pairs, (dim, dim)), index)
         assert block.toarray().tobytes() == full[np.ix_(index, index)].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 7),
+       n_th=st.sampled_from([0.0, 0.3]))
+def test_liouvillian_of_any_real_operators_matches_the_kron_oracle(seed, dim,
+                                                                   n_th):
+    # sparse h and a with entries anywhere, the diagonal of a included, and
+    # any set of kept pairs: the kept rows and columns of the whole operator
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, dim)) * (rng.random((dim, dim)) < 0.5)
+    a = rng.normal(size=(dim, dim)) * (rng.random((dim, dim)) < 0.5)
+    h = m + m.T
+    cfg = cfg_of(HamiltonianParams(delta=1.0, eps2=1.0, dim=4), kappa=0.3,
+                 n_th=n_th)
+    full = kron_liouvillian(h, a, 0.3, n_th)
+    keep = rng.random(dim * dim) < 0.6
+    index = np.flatnonzero(keep)
+    got = kerrcat.dynamics._liouvillian(h, a, cfg, keep).toarray()
+    assert got.tobytes() == full[np.ix_(index, index)].tobytes()
+    assert (kerrcat.dynamics._liouvillian(h, a, cfg).toarray().tobytes()
+            == full.tobytes())
+
+
+def same_csr(got, want):
+    """Bit-equal entries and the same sparsity pattern, in the same order."""
+    return (got.shape == want.shape
+            and got.toarray().tobytes() == want.toarray().tobytes()
+            and np.array_equal(got.indptr, want.indptr)
+            and np.array_equal(got.indices, want.indices))
+
+
+@pytest.mark.parametrize("dim", [60, 72])
+@pytest.mark.parametrize("n_th", [0.0, 0.05])
+@pytest.mark.parametrize("eps4", [0.0, 0.1])
+def test_fock_sectors_match_the_sparse_kron_cut_at_tx_sizes(dim, n_th, eps4):
+    # the T_X sizes, where a dense np.kron Liouvillian would take 0.2-0.4 GB
+    p = HamiltonianParams(delta=2.0, eps2=2.17, eps4=eps4, dim=dim)
+    cfg = cfg_of(p, kappa=1 / 50, n_th=n_th)
+    h, a, par = build_hamiltonian(p), annihilation(dim), np.arange(dim) % 2
+    for odd in (False, True):
+        block = kerrcat.dynamics._sector(h, a, cfg, par, odd)[1]
+        assert same_csr(block, sector_reference(h, a, cfg, par, odd))
+
+
+@pytest.mark.parametrize("n_th", [0.0, 0.05])
+def test_eigenbasis_sectors_match_the_sparse_kron_cut_at_rank_32(n_th):
+    # the default expm rank, where the projected jump fills every entry
+    # between opposite parities
+    p = HamiltonianParams(delta=2.0, eps2=2.17, dim=60)
+    sys = kerrcat.dynamics._System(cfg_of(p, kappa=1 / 50, n_th=n_th))
+    vr = sys.es.eigenvectors[:, :32]
+    h, a = np.diag(sys.es.eigenvalues[:32]), vr.conj().T @ sys.a @ vr
+    for odd in (False, True):
+        block = kerrcat.dynamics._sector(h, a, sys.cfg, sys.es.parities[:32],
+                                         odd)[1]
+        assert same_csr(block, sector_reference(h, a, sys.cfg,
+                                                sys.es.parities[:32], odd))
+
+
+def test_fock_liouvillian_matches_the_sparse_kron_operator():
+    # the whole operator that rk4, the open ramp and lindblad_rhs apply
+    p = HamiltonianParams(delta=2.0, eps2=2.17, eps4=0.1, dim=30)
+    cfg = cfg_of(p, kappa=0.02, n_th=0.05)
+    h, a = build_hamiltonian(p), annihilation(30)
+    assert same_csr(kerrcat.dynamics._liouvillian(h, a, cfg),
+                    sector_reference(h, a, cfg))
 
 
 @pytest.mark.parametrize("rank", [1, 4, 10])
