@@ -36,10 +36,14 @@ diagonal pivots at threshold 0.1; about 0.6x the fill of COLAMD with
 partial pivoting) and runs ARPACK shift-invert at sigma = 0 on that factor
 with 8 Krylov vectors: lambda_1 lies far closer to 0 than the rest of the
 sector, so this takes 9 LU solves at most points, against 21 at ARPACK's
-default of 20.  T_X at dim and dim + 12
-must agree to 1e-6 relative, else ``TruncationRiskError``: this certifies
-the truncation.  ``rank``, ``initial_state``, ``n_samples``, ``n_pairs``
-and ``method`` do not enter T_X.
+default of 20.  The same factor certifies the truncation: its adjoint
+solves give the left eigenvector w, and the sector at dim + 12, built only
+on the rows near the cut, gives the residual r of the padded right
+eigenvector v.  The bound c = kappa ||r|| / |Re lambda_1|, kappa =
+||w|| ||v|| / |w^H v|, at most 1e-8 accepts T_X; a larger one (or NaN)
+falls back to a second solve at dim + 12, and the two T_X must agree to
+1e-6 relative, else ``TruncationRiskError``.  ``rank``, ``initial_state``,
+``n_samples``, ``n_pairs`` and ``method`` do not enter T_X.
 """
 
 from __future__ import annotations
@@ -543,15 +547,22 @@ def tx_lifetime(cfg: LindbladConfig) -> TxEstimate:
     """Well-switching lifetime T_X from the odd Fock sector, certified
     against dim + 12 (see the module docstring).
 
-    ``rank`` is dim: the sector spans the whole truncated space.  When
-    ``t_final`` < T_X ln(1/0.95) no decay is resolved by ``t_final``, and
-    the estimate is the lower bound t_x = t_final.
+    One factor of the sector at dim gives T_X and the bound c of
+    ``_tx_bound`` on its change at dim + 12.  When c <= ``_TX_BOUND`` the
+    point is accepted; otherwise the sector at dim + 12 is solved too, and
+    T_X at dim and dim + 12 must agree to 1e-6 relative, else
+    ``TruncationRiskError``.  ``rank`` is dim: the sector spans the whole
+    truncated space.  When ``t_final`` < T_X ln(1/0.95) no decay is
+    resolved by ``t_final``, and the estimate is the lower bound t_x =
+    t_final.
     """
     if cfg.kappa <= 0:
         raise ValueError("tx_lifetime requires kappa > 0")
     dim = cfg.params.dim
-    t_x = _odd_sector_tx(cfg, dim)
-    if not abs(_odd_sector_tx(cfg, dim + 12) - t_x) <= 1e-6 * abs(t_x):
+    lam, v, sector = _odd_sector(cfg, dim)
+    t_x = -1.0 / lam.real
+    if (not _tx_bound(cfg, dim, lam, v, sector)[1] <= _TX_BOUND
+            and not abs(_odd_sector_tx(cfg, dim + 12) - t_x) <= 1e-6 * abs(t_x)):
         raise TruncationRiskError(
             f"T_X at dim {dim} and dim {dim + 12} differ by more than 1e-6")
     if cfg.t_final < t_x * np.log(1 / 0.95):
@@ -573,11 +584,19 @@ _TX_OPTIONS = {"SymmetricMode": True}
 # shallow well (delta = 0.5, eps2 = 0.3).  4 failed to converge on sectors of
 # dim <= 16.  ARPACK needs ncv <= the sector size, 8 at the smallest dim, 4.
 _TX_NCV = 8
+# The largest ``_tx_bound`` c that accepts T_X without the dim + 12 solve,
+# 100x below its 1e-6 test.  At default dims c is 4e-16 to 1e-15.  Of 864
+# points (delta 0-8, eps2 0.3-4, dims 8-60, three (kappa, n_th)) 354 had c
+# <= 1e-8, and none with c <= 1e-6 failed the re-solve; nor did any of 180
+# at eps4 = 0.05.
+_TX_BOUND = 1e-8
 
 
-def _odd_sector_tx(cfg: LindbladConfig, dim: int) -> float:
-    """-1 / Re lambda_1, lambda_1 the eigenvalue nearest 0 of the Fock-basis
-    Liouvillian at ``dim`` on its ``_sector`` rho_mn with m + n odd.
+def _odd_sector(cfg: LindbladConfig, dim: int):
+    """(lambda_1, v, (pairs, block, lu)): lambda_1 the eigenvalue nearest 0
+    of the Fock-basis Liouvillian at ``dim`` on its ``_sector`` rho_mn with
+    m + n odd, v its unit right eigenvector over the sector's index
+    ``pairs``, ``block`` the sector and ``lu`` its factor.
 
     One sparse LU of the sector, ordered by ``_TX_PERMC`` with pivot
     threshold ``_TX_PIVOT`` in symmetric mode (``_TX_OPTIONS``), serves as
@@ -587,13 +606,59 @@ def _odd_sector_tx(cfg: LindbladConfig, dim: int) -> float:
     from scipy.sparse.linalg import LinearOperator, eigs, splu
 
     h = build_hamiltonian(cfg.params.with_(dim=dim))
-    block = _sector(h, annihilation(dim), cfg, np.arange(dim) % 2, True)[1].tocsc()
+    pairs, block = _sector(h, annihilation(dim), cfg, np.arange(dim) % 2, True)
+    block = block.tocsc()
     lu = splu(block, permc_spec=_TX_PERMC, diag_pivot_thresh=_TX_PIVOT,
               options=_TX_OPTIONS)
-    lam = eigs(block, k=1, sigma=0, v0=np.ones(block.shape[0]), ncv=_TX_NCV,
-               OPinv=LinearOperator(block.shape, lu.solve, dtype=complex),
-               return_eigenvectors=False)[0]
-    return -1.0 / lam.real
+    lam, v = eigs(block, k=1, sigma=0, v0=np.ones(block.shape[0]), ncv=_TX_NCV,
+                  OPinv=LinearOperator(block.shape, lu.solve, dtype=complex))
+    return lam[0], v[:, 0], (pairs, block, lu)
+
+
+def _odd_sector_tx(cfg: LindbladConfig, dim: int) -> float:
+    """T_X = -1 / Re lambda_1 of ``_odd_sector`` at ``dim``."""
+    return -1.0 / _odd_sector(cfg, dim)[0].real
+
+
+def _tx_bound(cfg: LindbladConfig, dim: int, lam, v, sector):
+    """(kappa, c) of the ``_odd_sector`` solve (lambda_1, v, sector) at
+    ``dim``: the condition number kappa = ||w|| ||v|| / |w^H v| of lambda_1,
+    and the bound c = kappa ||r|| / |Re lambda_1| on the relative change of
+    T_X from dim to dim + 12.
+
+    The left eigenvector w comes from the sector's own factor: ARPACK
+    shift-invert on the adjoint (``lu.solve(x, trans="H")``), started from
+    conj(v), with k = 2, keeping the Ritz value nearest conj(lambda_1); at k
+    = 1 it returned the other member of a conjugate pair at delta = 2.9,
+    eps2 = 0.3, dim 60, and kappa came out 1e15.  r = L' v0 - lambda_1 v0,
+    v0 the zero-padded v, is nonzero only on the rows of the dim + 12 sector
+    L' that the cut changes, max(m, n) >= dim - 1.  An entry of L' moves m
+    and n by at most ``reach`` (H's band, 1 for the jumps), so L' is built
+    (``_liouvillian``) only on the rows dim - 1 - reach <= max(m, n) <= dim
+    - 1 + reach.
+    """
+    from scipy.sparse.linalg import LinearOperator, eigs
+
+    pairs, block, lu = sector
+    adjoint = LinearOperator(block.shape, lambda x: lu.solve(x, trans="H"),
+                             dtype=complex)
+    mus, ws = eigs(block.conj().T, k=2, sigma=0, v0=v.conj(), ncv=_TX_NCV,
+                   OPinv=adjoint)
+    w = ws[:, np.argmin(np.abs(mus - np.conj(lam)))]
+    kappa = np.linalg.norm(w) * np.linalg.norm(v) / abs(np.vdot(w, v))
+    big = dim + 12
+    h = build_hamiltonian(cfg.params.with_(dim=big))
+    i, j = np.nonzero(h)
+    reach = max(int(np.abs(i - j).max(initial=0)), 1)
+    m, n = np.indices((big, big))
+    top = np.maximum(m, n)
+    keep = ((m + n) % 2 == 1) & (np.abs(top - (dim - 1)) <= reach)
+    rho = np.zeros((big, big), complex)
+    rho[pairs] = v
+    v0 = rho[keep]
+    r = (_liouvillian(h, annihilation(big), cfg, keep.ravel()) @ v0
+         - lam * v0)[top[keep] >= dim - 1]
+    return kappa, kappa * np.linalg.norm(r) / abs(lam.real)
 
 
 # -- ramp protocols -------------------------------------------------------------

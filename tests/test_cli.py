@@ -89,9 +89,26 @@ def test_lindblad_tx_golden_regression(tmp_path):
         assert cli.main(["lindblad", "--config", cfg, "--out", str(out)]) == 0
         header, part = read_csv(out)
         rows += part
-    gheader, grows = read_csv(DATA / "golden_lindblad_tx.csv")
+    assert_tx_golden(header, rows, "golden_lindblad_tx.csv", 12)
+
+
+def test_lindblad_tx_golden_regression_at_dim_60(tmp_path):
+    # the criterion-12 point and six more detunings up to delta = 5, each
+    # certified from its one factor at dim 60
+    cfg = write_cfg(tmp_path, {
+        "fixed": {"eps2": 2.17, "dim": 60, "kappa": 0.02, "n_th": 0.05},
+        "axes": [{"name": "delta", "start": 2.0, "stop": 5.0, "count": 7}]})
+    out = tmp_path / "tx.csv"
+    assert cli.main(["lindblad", "--config", cfg, "--out", str(out)]) == 0
+    assert_tx_golden(*read_csv(out), "golden_lindblad_tx_dim60.csv", 7)
+
+
+def assert_tx_golden(header, rows, name, count):
+    """``t_x`` at rel 1e-9 and every other cell exactly, against the golden
+    table ``name`` of ``count`` rows."""
+    gheader, grows = read_csv(DATA / name)
     assert header == gheader
-    assert len(rows) == len(grows) == 12
+    assert len(rows) == len(grows) == count
     i_tx = header.index("t_x")
     for row, gold in zip(rows, grows):
         assert float(row[i_tx]) == pytest.approx(float(gold[i_tx]), rel=1e-9)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -459,9 +461,9 @@ class CountingLU:
         self.fill = (lu.L.nnz + lu.U.nnz) / block.nnz
         self.lu, self.solves = lu, 0
 
-    def solve(self, rhs):
+    def solve(self, rhs, trans="N"):
         self.solves += 1
-        return self.lu.solve(rhs)
+        return self.lu.solve(rhs, trans=trans)
 
 
 @pytest.mark.parametrize("delta, eps2, max_solves",
@@ -486,37 +488,123 @@ def test_odd_sector_tx_factorises_once_and_takes_few_solves(
     assert factors[0].fill < 8
 
 
-def test_tx_factors_in_symmetric_mode_and_builds_only_the_odd_sector(
-        monkeypatch):
-    # each of the two solves (dim and dim + 12) assembles the rows m + n
-    # odd and nothing else, and factors them with a symmetric ordering and
-    # diagonal pivoting
+def counting_factors(monkeypatch):
+    """The (CountingLU, splu kwargs) of every factor made from here on."""
     factors, splu = [], scipy.sparse.linalg.splu
-    builds, build = [], kerrcat.dynamics._liouvillian
 
     def counting_splu(block, **kwargs):
         factors.append((CountingLU(block, splu(block, **kwargs)), kwargs))
         return factors[-1][0]
 
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    return factors
+
+
+def test_tx_factors_in_symmetric_mode_and_builds_only_the_odd_sector(
+        monkeypatch):
+    # the criterion-12 point is certified from its one factor: the sector
+    # at dim, rows m + n odd and nothing else, factored with a symmetric
+    # ordering and diagonal pivoting, and at dim + 12 only the odd rows
+    # within H's reach (2) of the cut at max(m, n) = dim - 1
+    factors = counting_factors(monkeypatch)
+    builds, build = [], kerrcat.dynamics._liouvillian
+
     def spying_build(h, a, cfg, keep=None):
         builds.append((len(h), keep))
         return build(h, a, cfg, keep)
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     monkeypatch.setattr(kerrcat.dynamics, "_liouvillian", spying_build)
     p = HamiltonianParams(delta=2.0, eps2=2.17, dim=60)
     tx_lifetime(cfg_of(p, kappa=1 / 50, n_th=0.05, t_final=6000.0))
     assert [dim for dim, _ in builds] == [60, 72]
     for dim, keep in builds:
         m, n = np.divmod(np.flatnonzero(keep), dim)
-        assert len(m) == dim * dim // 2
         assert np.all((m + n) % 2 == 1)
+    assert np.count_nonzero(builds[0][1]) == 60 * 60 // 2
+    m, n = np.divmod(np.flatnonzero(builds[1][1]), 72)
+    assert set(np.maximum(m, n)) == set(range(57, 62))
+    assert len(m) == sum(2 * ((top + 1) // 2) for top in range(57, 62))
+    assert len(factors) == 1
+    lu, kwargs = factors[0]
+    assert kwargs["options"] == {"SymmetricMode": True}
+    assert kwargs["permc_spec"] == "MMD_AT_PLUS_A"
+    assert kwargs["diag_pivot_thresh"] == 0.1
+    assert lu.fill < 8
+
+
+def tx_bound(cfg, dim):
+    """(T_X, kappa, c) of the solve at ``dim`` and its ``_tx_bound``."""
+    lam, v, sector = kerrcat.dynamics._odd_sector(cfg, dim)
+    return (-1.0 / lam.real,
+            *kerrcat.dynamics._tx_bound(cfg, dim, lam, v, sector))
+
+
+def test_tx_bound_accepts_only_points_the_dim_plus_12_solve_accepts():
+    # small dims, shallow and deep wells and three rate pairs: 24 of the 96
+    # points are accepted from one factor, and at every point with c <=
+    # 1e-6, 100x above the acceptance bound, T_X moves by <= 1e-6 at dim + 12
+    rates = [(0.02, 0.05), (0.02, 0.0), (0.1, 0.2)]
+    grid = itertools.product((0.5, 2.0, 2.9, 6.0), (0.3, 1.0, 2.17, 4.0),
+                             (8, 12, 16, 24, 32, 40))
+    accepted = 0
+    for k, (delta, eps2, dim) in enumerate(grid):
+        kappa, n_th = rates[k % 3]
+        cfg = cfg_of(HamiltonianParams(delta=delta, eps2=eps2, dim=dim),
+                     kappa=kappa, n_th=n_th)
+        t_x, _, c = tx_bound(cfg, dim)
+        accepted += c <= kerrcat.dynamics._TX_BOUND
+        if c <= 1e-6:
+            t_x12 = kerrcat.dynamics._odd_sector_tx(cfg, dim + 12)
+            assert abs(t_x12 - t_x) <= 1e-6 * t_x, (delta, eps2, dim, c)
+    assert accepted >= 20
+
+
+@pytest.mark.parametrize("eps4", [0.0, 0.1])
+def test_tx_bound_residual_is_that_of_the_whole_dim_plus_12_sector(eps4):
+    # r is built on the rows near the cut only; on the whole sector at dim +
+    # 12, the padded eigenvector's residual off those rows is the solve's
+    # own, and on them it is the same r (eps4 widens H's reach to 4)
+    dim, big = 24, 36
+    cfg = cfg_of(HamiltonianParams(delta=2.0, eps2=2.17, eps4=eps4, dim=dim),
+                 kappa=0.1, n_th=0.2)
+    lam, v, sector = kerrcat.dynamics._odd_sector(cfg, dim)
+    kappa, c = kerrcat.dynamics._tx_bound(cfg, dim, lam, v, sector)
+    pairs, block = kerrcat.dynamics._sector(
+        build_hamiltonian(cfg.params.with_(dim=big)), annihilation(big), cfg,
+        np.arange(big) % 2, True)
+    rho = np.zeros((big, big), complex)
+    rho[sector[0]] = v
+    r = block @ rho[pairs] - lam * rho[pairs]
+    cut = np.maximum(*pairs) >= dim - 1
+    assert np.linalg.norm(r[~cut]) < 1e-12      # ||v|| = 1
+    assert c == pytest.approx(kappa * np.linalg.norm(r[cut]) / abs(lam.real),
+                              rel=1e-12)
+    assert c > 1e-3
+
+
+def test_tx_falls_back_to_the_dim_plus_12_solve_above_the_bound(monkeypatch):
+    # (6, 3, dim 40): c = 1.7e-5 takes the second factor, where T_X moves
+    # by 1.5e-11, and the row is accepted with the T_X of the first solve
+    cfg = cfg_of(HamiltonianParams(delta=6.0, eps2=3.0, dim=40),
+                 kappa=0.02, n_th=0.05, t_final=1e6)
+    t_x, _, c = tx_bound(cfg, 40)
+    assert 1e-6 < c < 1e-4
+    factors = counting_factors(monkeypatch)
+    est = tx_lifetime(cfg)
     assert len(factors) == 2
-    for lu, kwargs in factors:
-        assert kwargs["options"] == {"SymmetricMode": True}
-        assert kwargs["permc_spec"] == "MMD_AT_PLUS_A"
-        assert kwargs["diag_pivot_thresh"] == 0.1
-        assert lu.fill < 8
+    assert est == kerrcat.dynamics.TxEstimate(t_x, False, 40)
+    assert est.t_x == pytest.approx(
+        kerrcat.dynamics._odd_sector_tx(cfg, 52), rel=1e-10)
+
+
+def test_tx_left_vector_is_the_conjugate_pairs_own():
+    # ARPACK at k = 1 on the adjoint returned the other member of a
+    # conjugate pair here, and kappa came out 1e15
+    cfg = cfg_of(HamiltonianParams(delta=2.9, eps2=0.3, dim=60),
+                 kappa=0.02, n_th=0.05)
+    _, kappa, c = tx_bound(cfg, 60)
+    assert 1.0 <= kappa < 10.0
+    assert c < 1e-12
 
 
 def test_tx_lower_bound_flag():
