@@ -115,6 +115,68 @@ def assert_tx_golden(header, rows, name, count):
         assert row[:i_tx] + row[i_tx + 1:] == gold[:i_tx] + gold[i_tx + 1:]
 
 
+GOLDEN = DATA / "golden"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
+
+
+def _number(cell):
+    """``cell`` as a float if it is a JSON number or a numeric CSV cell."""
+    if isinstance(cell, bool):
+        return None
+    try:
+        return float(cell)
+    except (TypeError, ValueError):
+        return None
+
+
+def assert_golden_cell(cell, gold, wigner_w=False):
+    """A numeric cell at rel 1e-9 (a Wigner ``w`` at abs 1e-12), any other
+    cell exactly."""
+    value, expected = _number(cell), _number(gold)
+    if value is None or expected is None:
+        assert cell == gold
+    elif wigner_w:
+        assert value == pytest.approx(expected, rel=0, abs=1e-12)
+    else:
+        assert value == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+def assert_golden_json(doc, gold, key=None):
+    if isinstance(gold, dict):
+        assert isinstance(doc, dict) and doc.keys() == gold.keys()
+        for k in gold:
+            assert_golden_json(doc[k], gold[k], k)
+    elif isinstance(gold, list):
+        assert isinstance(doc, list) and len(doc) == len(gold)
+        for d, g in zip(doc, gold):
+            assert_golden_json(d, g, key)
+    else:
+        assert_golden_cell(doc, gold, wigner_w=key == "values")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_cli_output_matches_golden_corpus(tmp_path, name):
+    # tests/data/golden: one small run per kind of output, each config and
+    # argument list in cases.json beside the file it wrote
+    case = GOLDEN_CASES[name]
+    args = list(case["args"])
+    if "config" in case:
+        args += ["--config", write_cfg(tmp_path, case["config"])]
+    out = tmp_path / name
+    assert cli.main([*args, "--out", str(out)]) == 0
+    if name.endswith(".json"):
+        assert_golden_json(json.loads(out.read_text()),
+                           json.loads((GOLDEN / name).read_text()))
+        return
+    header, rows = read_csv(out)
+    gheader, grows = read_csv(GOLDEN / name)
+    assert header == gheader and len(rows) == len(grows)
+    for row, gold in zip(rows, grows):
+        assert len(row) == len(gold)
+        for col, cell, expected in zip(header, row, gold):
+            assert_golden_cell(cell, expected, wigner_w=col == "w")
+
+
 def test_phase_column_matches_classifier(tmp_path):
     cfg = write_cfg(tmp_path, splitting_cfg(dim=60))
     out = tmp_path / "t.csv"
