@@ -14,7 +14,9 @@ rejects, a ``fixed`` value outside the model's domain, or a ``calibrate``
 input that is not finite, or ``--eps-x`` or ``--kerr`` <= 0.
 3 numeric failure: a point that raises becomes one row with its parameter
 cells, empty result cells and the exception class in ``error``; the table
-is still written.  KERRCAT_THREADS overrides the worker count.
+is still written.  Energies are in units of the Kerr coefficient K and
+times in 1/K.  Only ``calibrate`` takes a measured K (``--kerr``): its
+``alpha0_sq`` is eps2 in units of K, the value for ``fixed.eps2``.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ class ConfigError(ValueError):
 # keys are ``tables[value of key]`` (``default`` when absent).  Model-domain
 # checks of the ``fixed`` keys stay in HamiltonianParams and LindbladConfig.
 Switch = namedtuple("Switch", "key default tables")
-_HAM = {"delta": (float, 0.0, None), "kerr": (float, 1.0, None),
-        "eps2": (float, 0.0, None), "eps4": (float, 0.0, None),
+_HAM = {"delta": (float, 0.0, None), "eps2": (float, 0.0, None),
+        "eps4": (float, 0.0, None),
         "dim": (int, 0, None)}      # dim 0: fock.default_dim
 _RATES = {"kappa": (float, 0.02, None), "n_th": (float, 0.05, None),
           "t_final": (float, 4000.0, None)}
@@ -216,14 +218,8 @@ def _grid(axes):
 
 
 def _n_threads(args) -> int:
-    env = os.environ.get("KERRCAT_THREADS")
     if args.threads:
         return max(1, args.threads)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"KERRCAT_THREADS={env!r} is not an integer")
     return os.cpu_count() or 1
 
 
@@ -264,10 +260,10 @@ def _sweep(cfg: dict, args, columns, point) -> SweepResult:
 # -- subcommand bodies ----------------------------------------------------------
 
 def _splitting_point(p: HamiltonianParams, over) -> list:
-    geo = semiclassical.geometry(p.delta, p.eps2, p.kerr)
-    n_ebk = semiclassical.ebk_levels_exact(p.delta, p.eps2, p.kerr)
+    geo = semiclassical.geometry(p.delta, p.eps2)
+    n_ebk = semiclassical.ebk_levels_exact(p.delta, p.eps2)
     try:
-        de_wkb = semiclassical.wkb_splitting(p.delta, p.eps2, p.kerr)
+        de_wkb = semiclassical.wkb_splitting(p.delta, p.eps2)
     except (ValueError, OverflowError):
         de_wkb = float("nan")
     # outside the WKB domain, or a closed form overflowed (a tiny eps2)
@@ -361,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="cat-Rabi frequency Omega_x")
     cal.add_argument("--eps-x", type=float, required=True,
                      help="Rabi drive amplitude eps_x")
-    cal.add_argument("--kerr", type=float, default=1.0)
+    cal.add_argument("--kerr", type=float, default=1.0,
+                     help="measured Kerr coefficient K (reported eps2 = K alpha0_sq)")
     cal.add_argument("--out", default="-")
     return parser
 

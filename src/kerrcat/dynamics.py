@@ -71,7 +71,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class LindbladConfig:
-    """Evolution specification (energies in units of kerr, time in 1/kerr)."""
+    """Evolution specification (energies in units of K, time in 1/K)."""
 
     params: HamiltonianParams
     kappa: float = 0.0
@@ -120,7 +120,7 @@ class Trajectory:
 
 def default_n_pairs(params: HamiltonianParams) -> int:
     """Well-projector depth: EBK excited count + 1, clamped to >= 1."""
-    count = ebk_bound_state_count(params.delta, params.eps2, params.kerr)
+    count = ebk_bound_state_count(params.delta, params.eps2)
     return max(count.excited_states + 1, 1)
 
 
@@ -523,7 +523,7 @@ def rabi_map(p0: HamiltonianParams, axis: str, values, t_grid,
     out = SweepResult([axis, "t", "prob"])
     fits = []
     for val in values:
-        p = p0.with_(**{axis: float(val)})
+        p = replace(p0, **{axis: float(val)})
         cfg = LindbladConfig(params=p, kappa=kappa, n_th=n_th,
                              t_final=float(t_grid[-1]), n_samples=len(t_grid),
                              initial_state="right_well", n_pairs=1)
@@ -605,7 +605,7 @@ def _odd_sector(cfg: LindbladConfig, dim: int):
     """
     from scipy.sparse.linalg import LinearOperator, eigs, splu
 
-    h = build_hamiltonian(cfg.params.with_(dim=dim))
+    h = build_hamiltonian(replace(cfg.params, dim=dim))
     pairs, block = _sector(h, annihilation(dim), cfg, np.arange(dim) % 2, True)
     block = block.tocsc()
     lu = splu(block, permc_spec=_TX_PERMC, diag_pivot_thresh=_TX_PIVOT,
@@ -647,7 +647,7 @@ def _tx_bound(cfg: LindbladConfig, dim: int, lam, v, sector):
     w = ws[:, np.argmin(np.abs(mus - np.conj(lam)))]
     kappa = np.linalg.norm(w) * np.linalg.norm(v) / abs(np.vdot(w, v))
     big = dim + 12
-    h = build_hamiltonian(cfg.params.with_(dim=big))
+    h = build_hamiltonian(replace(cfg.params, dim=big))
     i, j = np.nonzero(h)
     reach = max(int(np.abs(i - j).max(initial=0)), 1)
     m, n = np.indices((big, big))
@@ -721,11 +721,11 @@ def run_protocol(protocol: RampProtocol, cfg: LindbladConfig) -> Trajectory:
     Both run under the same step-halving control.
     """
     d0, e0 = protocol.values_at(0.0)
-    base = cfg.params.with_(delta=d0, eps2=e0)
+    base = replace(cfg.params, delta=d0, eps2=e0)
     sys = _System(replace(cfg, params=base, t_final=protocol.total_duration))
     num = number_operator(base.dim)
     drive = sys.a.T @ sys.a.T + sys.a @ sys.a
-    kerr_term = build_hamiltonian(base.with_(delta=0.0, eps2=0.0))
+    kerr_term = build_hamiltonian(replace(base, delta=0.0, eps2=0.0))
 
     def h_at(t):
         d, e = protocol.values_at(t)

@@ -2,10 +2,12 @@
 
 Conventions used throughout the package:
 
-* hbar = 1 and the Kerr coefficient ``kerr`` is the unit of energy, so all
-  energies are reported in units of K and times in 1/K.
+* hbar = 1 and the Kerr coefficient K is the unit of energy: every energy
+  (delta, eps2, eps4) is in units of K, every time in 1/K, and no function
+  takes K.  A device with Kerr coefficient K maps to delta/K, eps2/K and
+  eps4/K.
 * The rotating-frame Hamiltonian is
-  ``H = delta a^dag a - kerr a^dag^2 a^2 + eps2 (a^dag^2 + a^2) + eps4 (a^dag^4 + a^4)``,
+  ``H = delta a^dag a - a^dag^2 a^2 + eps2 (a^dag^2 + a^2) + eps4 (a^dag^4 + a^4)``,
   which is real symmetric in the Fock basis.
 * The metapotential wells sit at the *top* of the spectrum: the "ground state
   manifold" is the pair of largest eigenvalues.
@@ -14,7 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -36,42 +38,36 @@ __all__ = [
 ]
 
 
-def default_dim(delta: float, kerr: float = 1.0, eps2: float = 0.0) -> int:
+def default_dim(delta: float, *, eps2: float = 0.0) -> int:
     """Heuristic Fock truncation keeping the well states far from the edge."""
-    return max(60, math.ceil(10.0 * (delta / kerr + 2.0 * eps2 / kerr)))
+    return max(60, math.ceil(10.0 * (delta + 2.0 * eps2)))
 
 
 @dataclass(frozen=True)
 class HamiltonianParams:
-    """Full model specification (energies in units of ``kerr``).
+    """Full model specification (energies in units of K).
 
-    ``dim`` defaults to :func:`default_dim`; pass it explicitly for sweeps
-    where reproducibility across parameter points matters.
+    Every field after ``delta`` is keyword-only; ``dataclasses.replace``
+    gives a copy with some fields changed.  ``dim`` defaults to
+    :func:`default_dim`; pass it explicitly for sweeps where reproducibility
+    across parameter points matters.
     """
 
     delta: float
-    kerr: float = 1.0
+    _: KW_ONLY
     eps2: float = 0.0
     eps4: float = 0.0
-    dim: int = field(default=0)
+    dim: int = 0
 
     def __post_init__(self):
-        if not all(np.isfinite([self.delta, self.kerr, self.eps2, self.eps4])):
+        if not all(np.isfinite([self.delta, self.eps2, self.eps4])):
             raise ValueError("Hamiltonian parameters must be finite")
-        if self.kerr <= 0:
-            raise ValueError(f"kerr must be positive, got {self.kerr}")
         if self.eps2 < 0 or self.eps4 < 0:
             raise ValueError("drive amplitudes eps2, eps4 must be >= 0")
         if self.dim == 0:
-            object.__setattr__(self, "dim", default_dim(self.delta, self.kerr, self.eps2))
+            object.__setattr__(self, "dim", default_dim(self.delta, eps2=self.eps2))
         if self.dim < 4:
             raise InvalidDimensionError(f"dim must be >= 4, got {self.dim}")
-
-    def with_(self, **kw) -> "HamiltonianParams":
-        d = {"delta": self.delta, "kerr": self.kerr, "eps2": self.eps2,
-             "eps4": self.eps4, "dim": self.dim}
-        d.update(kw)
-        return HamiltonianParams(**d)
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -115,12 +111,12 @@ def coherent_state(alpha: complex, dim: int) -> np.ndarray:
 def hamiltonian_bands(p: HamiltonianParams):
     """(diag, c2, c4): the three bands of the model Hamiltonian.
 
-    ``diag[n] = delta*n - kerr*n(n-1)``; ``c2[n]`` (length dim-2) couples
+    ``diag[n] = delta*n - n(n-1)``; ``c2[n]`` (length dim-2) couples
     n <-> n+2 and ``c4[n]`` (length dim-4) couples n <-> n+4.  A band is
     zero when its drive is off.
     """
     n = np.arange(p.dim, dtype=float)
-    diag = p.delta * n - p.kerr * n * (n - 1)
+    diag = p.delta * n - n * (n - 1)
     m = n[:-2]
     c2 = p.eps2 * np.sqrt((m + 1) * (m + 2))
     m = n[:-4]
@@ -159,25 +155,25 @@ def displaced_hamiltonian(p: HamiltonianParams, alpha: float) -> np.ndarray:
     """Hamiltonian in the frame displaced by ``alpha`` (real), no scalar term.
 
     Obtained by substituting a -> a + alpha in the model; for
-    alpha^2 = eps2/kerr the surviving quadratic drive cancels and the matrix
-    is tridiagonal in the Fock basis with the raising element
-    -2 K alpha (n - delta/2K) sqrt(n+1), which vanishes at the multilevel
-    resonance delta = 2 m K.  Agrees with D(-alpha) H D(-alpha)^dag up to the
+    alpha^2 = eps2 the surviving quadratic drive cancels and the matrix is
+    tridiagonal in the Fock basis with the raising element
+    -2 alpha (n - delta/2) sqrt(n+1), which vanishes at the multilevel
+    resonance delta = 2 m.  Agrees with D(-alpha) H D(-alpha)^dag up to the
     additive constant :func:`displaced_frame_offset` and the truncation tail.
     """
     if p.eps4 != 0:
         raise ValueError("displaced_hamiltonian requires eps4 = 0")
     dim = p.dim
-    K, delta, eps2 = p.kerr, p.delta, p.eps2
+    delta, eps2 = p.delta, p.eps2
     n = np.arange(dim, dtype=float)
-    h = np.diag(-K * n * (n - 1) + (delta - 4 * K * alpha**2) * n)
+    h = np.diag(-n * (n - 1) + (delta - 4 * alpha**2) * n)
     m = np.arange(dim - 1, dtype=float)
-    # linear + cubic ladder terms: (delta*alpha + 2*eps2*alpha - 2*K*alpha^3) a^dag
-    # - 2*K*alpha a^dag^2 a  (and h.c.); element <n+1| . |n>
-    lin = (delta + 2 * eps2 - 2 * K * alpha**2) * alpha
-    c1 = (lin - 2 * K * alpha * m) * np.sqrt(m + 1)
+    # linear + cubic ladder terms: (delta*alpha + 2*eps2*alpha - 2*alpha^3) a^dag
+    # - 2*alpha a^dag^2 a  (and h.c.); element <n+1| . |n>
+    lin = (delta + 2 * eps2 - 2 * alpha**2) * alpha
+    c1 = (lin - 2 * alpha * m) * np.sqrt(m + 1)
     h += np.diag(c1, -1) + np.diag(c1, 1)
-    q = eps2 - K * alpha**2
+    q = eps2 - alpha**2
     if q:
         mm = np.arange(dim - 2, dtype=float)
         c2 = q * np.sqrt((mm + 1) * (mm + 2))
@@ -187,5 +183,5 @@ def displaced_hamiltonian(p: HamiltonianParams, alpha: float) -> np.ndarray:
 
 def displaced_frame_offset(p: HamiltonianParams, alpha: float) -> float:
     """Scalar dropped by :func:`displaced_hamiltonian`: <alpha|H|alpha> at the node."""
-    K, delta, eps2 = p.kerr, p.delta, p.eps2
-    return delta * alpha**2 - K * alpha**4 + 2 * eps2 * alpha**2
+    delta, eps2 = p.delta, p.eps2
+    return delta * alpha**2 - alpha**4 + 2 * eps2 * alpha**2

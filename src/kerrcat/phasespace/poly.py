@@ -372,9 +372,9 @@ def wigner_transform_operator(op: NormalOrderedOperatorPoly) -> PhaseSpacePolyno
 
 # -- model-specific constructions ---------------------------------------------
 
-def hamiltonian_operator_poly(delta, kerr, eps2, eps4=0, lam=1) -> NormalOrderedOperatorPoly:
+def hamiltonian_operator_poly(delta, eps2, *, eps4=0, lam=1) -> NormalOrderedOperatorPoly:
     """Normal-ordered model Hamiltonian as an operator polynomial."""
-    terms = {(1, 1): Coeff.of(delta), (2, 2): -Coeff.of(kerr),
+    terms = {(1, 1): Coeff.of(delta), (2, 2): Coeff.of(-1),
              (2, 0): Coeff.of(eps2), (0, 2): Coeff.of(eps2)}
     if eps4:
         terms[(4, 0)] = Coeff.of(eps4)
@@ -382,15 +382,15 @@ def hamiltonian_operator_poly(delta, kerr, eps2, eps4=0, lam=1) -> NormalOrdered
     return NormalOrderedOperatorPoly(terms, lam)
 
 
-def effective_hamiltonian_surface(delta, kerr, eps2, eps4=0, lam=1,
+def effective_hamiltonian_surface(delta, eps2, *, eps4=0, lam=1,
                                   classical: bool = False) -> PhaseSpacePolynomial:
     """Quantum metapotential: Wigner symbol of the model Hamiltonian in (x, p).
 
     With classical=True the star-product (Lamb shift) corrections are dropped,
-    leaving the naive symbol delta (x^2+p^2)/(2 lam) - kerr ((x^2+p^2)/(2 lam))^2
+    leaving the naive symbol delta (x^2+p^2)/(2 lam) - ((x^2+p^2)/(2 lam))^2
     + eps2 (x^2 - p^2)/lam.
     """
-    op = hamiltonian_operator_poly(delta, kerr, eps2, eps4, lam)
+    op = hamiltonian_operator_poly(delta, eps2, eps4=eps4, lam=lam)
     if classical:
         sym = PhaseSpacePolynomial("a", _swapped(op.terms), op.lam)
     else:
@@ -398,11 +398,11 @@ def effective_hamiltonian_surface(delta, kerr, eps2, eps4=0, lam=1,
     return convert_basis(sym, "xp")
 
 
-def kerr_lamb_shift_check(delta, kerr, lam=1) -> NormalOrderedOperatorPoly:
-    """Quantize H = delta a*a - kerr a*^2 a^2 (symbol); the oscillator
-    frequency comes back renormalised by -2 kerr plus a scalar."""
+def kerr_lamb_shift_check(delta, *, lam=1) -> NormalOrderedOperatorPoly:
+    """Quantize H = delta a*a - a*^2 a^2 (symbol); the oscillator frequency
+    comes back shifted by -2 K (K = 1) plus a scalar."""
     sym = (PhaseSpacePolynomial.monomial("a", 1, 1, Coeff.of(delta), lam)
-           + PhaseSpacePolynomial.monomial("a", 2, 2, -Coeff.of(kerr), lam))
+           + PhaseSpacePolynomial.monomial("a", 2, 2, Coeff.of(-1), lam))
     return mccoy_quantize(sym)
 
 
@@ -477,7 +477,7 @@ def lindblad_phase_space_identity(n_th=Fraction(0), w: PhaseSpacePolynomial | No
     diff = lhs - rhs
 
     h = convert_basis(
-        effective_hamiltonian_surface(3, 1, Fraction(1, 2), lam=lam), "a")
+        effective_hamiltonian_surface(3, Fraction(1, 2), lam=lam), "a")
     even_ok = all(
         (star_term(h, w, n) - star_term(w, h, n)).is_zero() for n in (0, 2, 4))
 

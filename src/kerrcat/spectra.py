@@ -21,7 +21,7 @@ carries an exact parity and degenerate even/odd pairs stay resolved.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,7 +68,7 @@ class EigenSystem:
 
 @dataclass
 class TunnelSplitting:
-    delta_e: float          # E(top even) - E(top odd), units of kerr
+    delta_e: float          # E(top even) - E(top odd), units of K
     abs_delta_e: float
     ground_parity: int      # parity of the overall top eigenstate
 
@@ -198,7 +198,7 @@ def tunnel_splitting(p: HamiltonianParams) -> TunnelSplitting:
 
 
 def signed_splitting(delta: float, p0: HamiltonianParams) -> float:
-    return tunnel_splitting(p0.with_(delta=delta)).delta_e
+    return tunnel_splitting(replace(p0, delta=delta)).delta_e
 
 
 def _scan(p0: HamiltonianParams, grid, xtol: float):
@@ -261,14 +261,12 @@ def _pair_up(es: EigenSystem, n_pairs: int) -> list:
     return [(int(min(i, j)), int(max(i, j))) for i, j in zip(even, odd)]
 
 
-def degeneracy_check(m: int, eps2: float, kerr: float = 1.0,
-                     dim: int | None = None,
+def degeneracy_check(m: int, eps2: float, *, dim: int | None = None,
                      tolerance: float = 1e-8) -> DegeneracyReport:
-    """Verify m+1 opposite-parity degenerate pairs at delta = 2 m kerr."""
+    """Verify m+1 opposite-parity degenerate pairs at delta = 2 m."""
     if m < 0:
         raise ValueError("m must be a non-negative integer")
-    p = HamiltonianParams(delta=2 * m * kerr, kerr=kerr, eps2=eps2,
-                          dim=dim if dim else 0)
+    p = HamiltonianParams(delta=2.0 * m, eps2=eps2, dim=dim if dim else 0)
     if p.dim < 2 * (m + 2):
         raise InvalidDimensionError(f"dim={p.dim} too small for m={m}")
     w, pars = levels(p)
@@ -277,16 +275,16 @@ def degeneracy_check(m: int, eps2: float, kerr: float = 1.0,
     gaps = np.abs(even - odd)
     n_deg = 0
     for g in gaps:
-        if g < tolerance * kerr:
+        if g < tolerance:
             n_deg += 1
         else:
             break
     return DegeneracyReport(m, list(zip(even, odd)), gaps, n_deg, tolerance)
 
 
-def resonant_displaced_hamiltonian(m: int, eps2: float, kerr: float = 1.0,
+def resonant_displaced_hamiltonian(m: int, eps2: float, *,
                                    dim: int = 0) -> np.ndarray:
-    """Displaced-frame Hamiltonian at the resonance delta = 2 m kerr.
+    """Displaced-frame Hamiltonian at the resonance delta = 2 m.
 
     Specialised tridiagonal form with the ladder bracket (n - m) kept in
     integer arithmetic, so the decoupling elements at n = m vanish exactly
@@ -297,24 +295,24 @@ def resonant_displaced_hamiltonian(m: int, eps2: float, kerr: float = 1.0,
         raise ValueError("m must be a non-negative integer")
     if dim == 0:
         dim = max(m + 4, 8)
-    alpha = np.sqrt(eps2 / kerr)
+    alpha = np.sqrt(eps2)
     n = np.arange(dim, dtype=float)
-    h = np.diag((2 * m * kerr - 4 * eps2) * n - kerr * n * (n - 1))
+    h = np.diag((2 * m - 4 * eps2) * n - n * (n - 1))
     nn = np.arange(dim - 1)
-    c1 = -2 * kerr * alpha * (nn - m) * np.sqrt(nn + 1.0)
+    c1 = -2 * alpha * (nn - m) * np.sqrt(nn + 1.0)
     h += np.diag(c1, 1) + np.diag(c1, -1)
     return h
 
 
-def exact_block_matrix(m: int, eps2: float, kerr: float = 1.0) -> np.ndarray:
-    """(m+1) x (m+1) decoupled block of the displaced frame at delta = 2 m kerr."""
-    return resonant_displaced_hamiltonian(m, eps2, kerr)[: m + 1, : m + 1]
+def exact_block_matrix(m: int, eps2: float) -> np.ndarray:
+    """(m+1) x (m+1) decoupled block of the displaced frame at delta = 2 m."""
+    return resonant_displaced_hamiltonian(m, eps2)[: m + 1, : m + 1]
 
 
-def exact_block_eigenvalues(m: int, eps2: float, kerr: float = 1.0) -> np.ndarray:
+def exact_block_eigenvalues(m: int, eps2: float) -> np.ndarray:
     """Eigenvalues (descending) of the decoupled displaced block; each appears
     twice in the full spectrum after constant-offset alignment."""
-    return np.sort(np.linalg.eigvalsh(exact_block_matrix(m, eps2, kerr)))[::-1]
+    return np.sort(np.linalg.eigvalsh(exact_block_matrix(m, eps2)))[::-1]
 
 
 def align_offset(block_vals_desc: np.ndarray, pair_means_desc: np.ndarray) -> float:
@@ -331,22 +329,22 @@ def second_order_energy(level: int, p: HamiltonianParams) -> float:
     """Second-order squeeze-drive correction to Fock level ``level``.
 
     Standard second-order perturbation theory for V = eps2 (a^dag^2 + a^2) on
-    the Kerr ladder E0_n = delta n - kerr n(n-1):
+    the Kerr ladder E0_n = delta n - n(n-1):
 
-        E2_n = eps2^2 [ (n+1)(n+2) / (-2 delta + 2 K (2n+1))
-                        + n(n-1)  / ( 2 delta - 2 K (2n-3)) ]
+        E2_n = eps2^2 [ (n+1)(n+2) / (-2 delta + 2 (2n+1))
+                        + n(n-1)  / ( 2 delta - 2 (2n-3)) ]
 
-    and E2_n = E2_{n+1} exactly at delta = 2 n kerr.
+    and E2_n = E2_{n+1} exactly at delta = 2 n.
     """
-    n, delta, K, eps2 = level, p.delta, p.kerr, p.eps2
+    n, delta, eps2 = level, p.delta, p.eps2
     if n < 0:
         raise ValueError("level must be >= 0")
-    d_up = -2 * delta + 2 * K * (2 * n + 1)
+    d_up = -2 * delta + 2 * (2 * n + 1)
     if abs(d_up) < 1e-12:
         raise PoleError(f"resonant denominator at level {n} (upward)")
     e2 = eps2**2 * (n + 1) * (n + 2) / d_up
     if n >= 2:
-        d_dn = 2 * delta - 2 * K * (2 * n - 3)
+        d_dn = 2 * delta - 2 * (2 * n - 3)
         if abs(d_dn) < 1e-12:
             raise PoleError(f"resonant denominator at level {n} (downward)")
         e2 += eps2**2 * n * (n - 1) / d_dn

@@ -25,11 +25,13 @@ solve, one LU with a minimum-degree ordering and a relaxed pivot threshold
 under an 8-vector Krylov space, is checked against its earlier form:
 ``eigs`` factorises the odd sector itself (COLAMD, partial pivoting) and
 runs ARPACK's default 20 vectors, on the sector cut from the sparse
-``kron`` operator.
+``kron`` operator.  The EBK level count's earlier branch approximation,
+which the package no longer carries, is kept here for the tests that pin
+how it differs from the exact lobe area.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +41,7 @@ from scipy.special import gammaln
 from kerrcat.dynamics import _jumps
 from kerrcat.fock import (annihilation, build_hamiltonian,
                           displacement_operator, parity_operator)
+from kerrcat.semiclassical import PhaseRegion, classify_phase
 
 
 def jacobi_eigenvalues(mat, tol=1e-14, max_sweeps=60):
@@ -108,33 +111,43 @@ def wigner_q_integral(state, x, p, qmax=25.0, nq=6001):
     return float(np.real(np.trapezoid(integrand, q))) / (2 * np.pi)
 
 
-def separatrix_area_quadrature(delta, eps2, kerr=1.0):
+def separatrix_area_quadrature(delta, eps2):
     """Lobe area by adaptive quadrature of the polar separatrix integrands."""
     if delta < -2 * eps2 or eps2 == 0:
         return 0.0
     if delta < 2 * eps2:
         theta_c = 0.5 * np.arccos(-delta / (2 * eps2))
         val, err = quad(
-            lambda th: 2 * delta / kerr + 4 * eps2 / kerr * np.cos(2 * th),
+            lambda th: 2 * delta + 4 * eps2 * np.cos(2 * th),
             0.0, theta_c, epsabs=1e-12, epsrel=1e-12)
         return val
     val, err = quad(
-        lambda th: (4 * eps2 / kerr) * np.cos(th)
+        lambda th: 4 * eps2 * np.cos(th)
         * np.sqrt(max(delta / (2 * eps2) - np.sin(th) ** 2, 0.0)),
         -np.pi / 2, np.pi / 2, epsabs=1e-12, epsrel=1e-12)
     return val
 
 
-def newton_critical_point(delta, eps2, kerr, x0, p0, metapotential, steps=60):
+def ebk_levels_approx(delta, eps2):
+    """Branch approximation of the in-well level count.  Its double-node
+    delta coefficient is inconsistent with the exact lobe area (see
+    ``kerrcat.semiclassical.ebk_levels_exact``), and its two branches do not
+    meet at delta = 2 eps2."""
+    if classify_phase(delta, eps2) is PhaseRegion.TRIPLE_NODE:
+        return math.sqrt(8 * eps2 * delta) / math.pi - 0.5
+    return delta / 2 + eps2 / math.pi - 0.5
+
+
+def newton_critical_point(delta, eps2, x0, p0, metapotential, steps=60):
     """2D Newton iteration on the gradient of the metapotential surface."""
     z = np.array([x0, p0], dtype=float)
     h = 1e-6
     for _ in range(steps):
         def grad(pt):
-            gx = (metapotential(pt[0] + h, pt[1], delta, eps2, kerr)
-                  - metapotential(pt[0] - h, pt[1], delta, eps2, kerr)) / (2 * h)
-            gp = (metapotential(pt[0], pt[1] + h, delta, eps2, kerr)
-                  - metapotential(pt[0], pt[1] - h, delta, eps2, kerr)) / (2 * h)
+            gx = (metapotential(pt[0] + h, pt[1], delta, eps2)
+                  - metapotential(pt[0] - h, pt[1], delta, eps2)) / (2 * h)
+            gp = (metapotential(pt[0], pt[1] + h, delta, eps2)
+                  - metapotential(pt[0], pt[1] - h, delta, eps2)) / (2 * h)
             return np.array([gx, gp])
         g = grad(z)
         hess = np.zeros((2, 2))
@@ -228,7 +241,7 @@ def odd_sector_tx_reference(cfg, dim):
     from ``eigs(k=1, sigma=0)`` with its own factor and default ``ncv``."""
     from scipy.sparse.linalg import eigs
 
-    h = build_hamiltonian(cfg.params.with_(dim=dim))
+    h = build_hamiltonian(replace(cfg.params, dim=dim))
     block = sector_reference(h, annihilation(dim), cfg,
                              np.arange(dim) % 2).tocsc()
     lam = eigs(block, k=1, sigma=0, v0=np.ones(block.shape[0]),

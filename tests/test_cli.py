@@ -222,13 +222,14 @@ def test_set_overrides_win(tmp_path):
     assert rc == 0
 
 
-def test_env_thread_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("KERRCAT_THREADS", "2")
-    cfg = write_cfg(tmp_path, splitting_cfg(dim=60))
+def test_fixed_kerr_is_an_unknown_key(tmp_path, capsys):
+    # energies are in units of K: fixed has no kerr key, whatever its value
+    cfg = write_cfg(tmp_path, splitting_cfg(dim=20))
     out = tmp_path / "t.csv"
-    assert cli.main(["splitting", "--config", cfg, "--out", str(out)]) == 0
-    monkeypatch.setenv("KERRCAT_THREADS", "zebra")
-    assert cli.main(["splitting", "--config", cfg, "--out", str(out)]) == 2
+    assert cli.main(["splitting", "--config", cfg, "--out", str(out),
+                     "--set", "fixed.kerr=1"]) == 2
+    assert "fixed.kerr" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_config_exit_code(tmp_path):
@@ -490,11 +491,10 @@ def test_cli_entry_point_subprocess(tmp_path):
         "axes": [{"name": "delta", "start": 0.5, "stop": 1.5, "count": 2}],
     }))
     out = tmp_path / "o.csv"
-    env = dict(os.environ, KERRCAT_THREADS="2")
     proc = subprocess.run(
         [sys.executable, "-m", "kerrcat.cli", "splitting",
-         "--config", str(cfg), "--out", str(out)],
-        capture_output=True, env=env)
+         "--config", str(cfg), "--out", str(out), "--threads", "2"],
+        capture_output=True)
     assert proc.returncode == 0
     assert out.exists()
 
@@ -921,7 +921,7 @@ VALID = {
         "fixed": {"delta": 1.0, "eps2": 1.0, "dim": 20}, "state": {"eigen": 1},
         "grid": {"points": 11}}),
     "wigner-well": ("wigner", {
-        "fixed": {"delta": 1.0, "eps2": 1.0, "kerr": 1.0, "dim": 20},
+        "fixed": {"delta": 1.0, "eps2": 1.0, "dim": 20},
         "state": {"localized": "left", "pair": 1},
         "grid": {"points": 11, "extent": 5.0}}),
     "lindblad": ("lindblad", {
@@ -940,7 +940,7 @@ def library_table(name):
     cfg = VALID[name][1]
     fixed = cfg["fixed"]
     ham = {k: v for k, v in fixed.items()
-           if k in ("delta", "eps2", "eps4", "kerr", "dim")}
+           if k in ("delta", "eps2", "eps4", "dim")}
     if name == "splitting":
         table = SweepResult(cli.SPLITTING_COLUMNS + ["error"])
         for d in np.linspace(0.5, 1.5, 2):
@@ -1008,7 +1008,7 @@ OUT_OF_DOMAIN = {
     "extent": [0.0, -1.0, INF], "pair": [-1, 10], "eigen": [-1, 20],
     "name": ["zeta", "kerr"], "scale": ["cubic"], "localized": ["up"],
     "initial_state": ["bogus"], "eps2": [-0.5, NAN], "eps4": [-0.1],
-    "kerr": [0.0, -1.0], "dim": [2, -5], "kappa": [-0.1], "n_th": [-1.0],
+    "dim": [2, -5], "kappa": [-0.1], "n_th": [-1.0],
     "t_final": [0.0, -INF], "delta": [NAN, INF], "stop": [INF], "start": [NAN]}
 WRONG_TYPE = {dict: [3, "x", []], list: [3, {}], float: ["1.5", True, [1.0]],
               int: ["2", True, 2.5, [2]], str: [3, False, ["right"]],

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -570,7 +571,7 @@ def test_tx_bound_residual_is_that_of_the_whole_dim_plus_12_sector(eps4):
     lam, v, sector = kerrcat.dynamics._odd_sector(cfg, dim)
     kappa, c = kerrcat.dynamics._tx_bound(cfg, dim, lam, v, sector)
     pairs, block = kerrcat.dynamics._sector(
-        build_hamiltonian(cfg.params.with_(dim=big)), annihilation(big), cfg,
+        build_hamiltonian(replace(cfg.params, dim=big)), annihilation(big), cfg,
         np.arange(big) % 2, True)
     rho = np.zeros((big, big), complex)
     rho[sector[0]] = v
@@ -869,7 +870,7 @@ def test_magnus_step_is_fourth_order():
 
     def h_at(t):
         f = t / t_final
-        return build_hamiltonian(p.with_(delta=1.0 + 2.0 * f, eps2=1.0 - 0.7 * f))
+        return build_hamiltonian(replace(p, delta=1.0 + 2.0 * f, eps2=1.0 - 0.7 * f))
 
     sys = kerrcat.dynamics._System(cfg_of(p, t_final=t_final, n_samples=2, n_pairs=1))
     psi0 = sys.initial_state()
@@ -969,7 +970,7 @@ def test_open_ramp_of_delta_and_eps2_matches_solve_ivp_on_the_oracle():
 
     def rhs(t, v):
         d, e = prot.values_at(t)
-        h = build_hamiltonian(p.with_(delta=d, eps2=e))
+        h = build_hamiltonian(replace(p, delta=d, eps2=e))
         return kron_liouvillian(h, a, 0.05, 0.1) @ v
 
     ref = solve_ivp(rhs, (0.0, 2.0), rho0.ravel(), method="DOP853",

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,9 @@ from kerrcat.fock import (HamiltonianParams, annihilation, build_hamiltonian,
                           coherent_state, default_dim, displaced_frame_offset,
                           displaced_hamiltonian, displacement_operator,
                           parity_operator)
+from kerrcat.phasespace import effective_hamiltonian_surface, kerr_lamb_shift_check
+from kerrcat.semiclassical import geometry
+from kerrcat.spectra import degeneracy_check, resonant_displaced_hamiltonian
 from oracles import jacobi_eigenvalues
 
 
@@ -26,16 +32,31 @@ def test_commutator_truncation_aware():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        HamiltonianParams(delta=0.0, kerr=0.0)
-    with pytest.raises(ValueError):
         HamiltonianParams(delta=np.inf)
     with pytest.raises(InvalidDimensionError):
         HamiltonianParams(delta=0.0, dim=3)
-    assert HamiltonianParams(delta=3.0, eps2=2.0).dim == default_dim(3.0, 1.0, 2.0)
+    assert HamiltonianParams(delta=3.0, eps2=2.0).dim == default_dim(3.0, eps2=2.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: HamiltonianParams(delta=1.0, kerr=1.0),
+    lambda: HamiltonianParams(2.0, 0.5),
+    lambda: default_dim(3.0, 1.0, 2.0),
+    lambda: degeneracy_check(1, 0.5, 1.0),
+    lambda: resonant_displaced_hamiltonian(2, 2.0, 1.0),
+    lambda: geometry(3.4, 1.1, 1.0),
+    lambda: effective_hamiltonian_surface(3, 1, Fraction(1, 2)),
+    lambda: kerr_lamb_shift_check(2, 1),
+])
+def test_calls_that_pass_a_kerr_coefficient_raise_type_error(call):
+    # K is the energy unit: no signature takes it, and an old-style call
+    # cannot bind eps2 (or any later argument) to the slot kerr had
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_kerr_ladder_diagonal():
-    p = HamiltonianParams(delta=1.7, kerr=1.0, eps2=0.0, dim=12)
+    p = HamiltonianParams(delta=1.7, eps2=0.0, dim=12)
     h = build_hamiltonian(p)
     n = np.arange(12)
     assert np.allclose(np.diag(h), 1.7 * n - n * (n - 1), atol=0)
@@ -43,7 +64,7 @@ def test_kerr_ladder_diagonal():
 
 
 def test_squeeze_matrix_element():
-    p = HamiltonianParams(delta=0.0, kerr=1.0, eps2=1.0, dim=4)
+    p = HamiltonianParams(delta=0.0, eps2=1.0, dim=4)
     h = build_hamiltonian(p)
     assert h[0, 2] == pytest.approx(np.sqrt(2), abs=1e-15)
     assert h[1, 3] == pytest.approx(np.sqrt(6), abs=1e-15)
@@ -57,7 +78,7 @@ def test_real_symmetric():
 
 
 def test_eigenvalues_match_jacobi_oracle():
-    p = HamiltonianParams(delta=2.0, kerr=1.0, eps2=0.5, dim=40)
+    p = HamiltonianParams(delta=2.0, eps2=0.5, dim=40)
     h = build_hamiltonian(p)
     ours = np.sort(np.linalg.eigvalsh(h))
     oracle = jacobi_eigenvalues(h)
@@ -68,9 +89,8 @@ def test_parity_diagonal_and_commutation():
     assert np.array_equal(np.diag(parity_operator(4)), [1, -1, 1, -1])
     rng = np.random.default_rng(11)
     for _ in range(20):
-        p = HamiltonianParams(delta=rng.uniform(-5, 8), kerr=rng.uniform(0.5, 2),
-                              eps2=rng.uniform(0, 3), eps4=rng.uniform(0, 0.2),
-                              dim=24)
+        p = HamiltonianParams(delta=rng.uniform(-5, 8), eps2=rng.uniform(0, 3),
+                              eps4=rng.uniform(0, 0.2), dim=24)
         h = build_hamiltonian(p)
         pi = parity_operator(24)
         assert np.abs(pi @ h - h @ pi).max() == 0.0
@@ -79,9 +99,9 @@ def test_parity_diagonal_and_commutation():
 def test_spectrum_invariant_under_drive_sign_flip():
     p = HamiltonianParams(delta=1.3, eps2=0.8, dim=60)
     h_plus = build_hamiltonian(p)
-    h_minus = build_hamiltonian(p.with_(eps2=0.0))
+    h_minus = build_hamiltonian(replace(p, eps2=0.0))
     # flip the sign of the squeeze coupling only
-    h_minus = h_minus - (h_plus - build_hamiltonian(p.with_(eps2=0.0)))
+    h_minus = h_minus - (h_plus - build_hamiltonian(replace(p, eps2=0.0)))
     w_plus = np.linalg.eigvalsh(h_plus)
     w_minus = np.linalg.eigvalsh(h_minus)
     assert np.abs(np.sort(w_plus) - np.sort(w_minus)).max() < 1e-10 * np.abs(w_plus).max()
@@ -141,7 +161,7 @@ def test_displaced_parity_identity():
 
 
 def test_displaced_hamiltonian_alpha_zero():
-    p = HamiltonianParams(delta=1.5, kerr=1.0, eps2=0.7, dim=20)
+    p = HamiltonianParams(delta=1.5, eps2=0.7, dim=20)
     assert np.abs(displaced_hamiltonian(p, 0.0) - build_hamiltonian(p)).max() < 1e-14
 
 
@@ -159,8 +179,8 @@ def test_coherent_state_at_zero_is_the_vacuum(dim):
 
 
 def test_displaced_hamiltonian_matches_conjugation():
-    p = HamiltonianParams(delta=4.0, kerr=1.0, eps2=2.0, dim=80)
-    alpha = np.sqrt(p.eps2 / p.kerr)
+    p = HamiltonianParams(delta=4.0, eps2=2.0, dim=80)
+    alpha = np.sqrt(p.eps2)
     d = displacement_operator(-alpha, p.dim)
     conj = d @ build_hamiltonian(p).astype(complex) @ d.conj().T
     direct = displaced_hamiltonian(p, alpha)
@@ -171,8 +191,8 @@ def test_displaced_hamiltonian_matches_conjugation():
 
 
 def test_displaced_hamiltonian_tridiagonal_and_resonant_zero():
-    # delta/K = 4 (m = 2): the |m> -> |m+1> coupling vanishes at the resonance
-    p = HamiltonianParams(delta=4.0, kerr=1.0, eps2=2.0, dim=30)
+    # delta = 4 (m = 2): the |m> -> |m+1> coupling vanishes at the resonance
+    p = HamiltonianParams(delta=4.0, eps2=2.0, dim=30)
     hp = displaced_hamiltonian(p, np.sqrt(2.0))
     assert np.abs(np.triu(hp, 2)).max() < 1e-12
     assert hp[2, 3] == pytest.approx(0.0, abs=1e-12)
@@ -180,7 +200,7 @@ def test_displaced_hamiltonian_tridiagonal_and_resonant_zero():
 
 
 def test_displaced_block_eigenvalues_appear_twice_in_spectrum():
-    p = HamiltonianParams(delta=4.0, kerr=1.0, eps2=2.0, dim=80)
+    p = HamiltonianParams(delta=4.0, eps2=2.0, dim=80)
     hp = displaced_hamiltonian(p, np.sqrt(2.0))
     block = np.sort(np.linalg.eigvalsh(hp[:3, :3]))[::-1]
     full = np.sort(np.linalg.eigvalsh(build_hamiltonian(p)))[::-1]

@@ -104,7 +104,7 @@ def test_term_container_equality():
 
 
 def test_hamiltonian_operator_poly_quartic_drive():
-    op = hamiltonian_operator_poly(Fraction(3, 2), 1, Fraction(3, 4), eps4=Fraction(1, 5))
+    op = hamiltonian_operator_poly(Fraction(3, 2), Fraction(3, 4), eps4=Fraction(1, 5))
     assert op == NormalOrderedOperatorPoly(
         {(1, 1): Coeff.of(Fraction(3, 2)), (2, 2): Coeff.of(-1),
          (2, 0): Coeff.of(Fraction(3, 4)), (0, 2): Coeff.of(Fraction(3, 4)),
@@ -261,7 +261,7 @@ def test_hermiticity_check():
 
 def test_operator_poly_matrix_agrees_with_fock():
     from kerrcat.fock import HamiltonianParams, build_hamiltonian
-    op = hamiltonian_operator_poly(Fraction(3, 2), 1, Fraction(3, 4))
+    op = hamiltonian_operator_poly(Fraction(3, 2), Fraction(3, 4))
     h = op.to_matrix(20)
     ref = build_hamiltonian(HamiltonianParams(delta=1.5, eps2=0.75, dim=20))
     assert np.abs(h - ref).max() < 1e-12
@@ -270,54 +270,53 @@ def test_operator_poly_matrix_agrees_with_fock():
 # -- Kerr Lamb shift and metapotential -------------------------------------------
 
 def test_kerr_lamb_shift():
-    op = kerr_lamb_shift_check(0, 1)
+    op = kerr_lamb_shift_check(0)
     assert op.coefficient(1, 1) == Coeff.of(-2)
-    op2 = kerr_lamb_shift_check(2, 1)
+    op2 = kerr_lamb_shift_check(2)
     assert op2.coefficient(1, 1) == Coeff.of(0)
     assert op2.coefficient(2, 2) == Coeff.of(-1)
-    # scalar term present: (delta - kerr)/2
+    # scalar term present: (delta - 1)/2
     assert op.coefficient(0, 0) == Coeff.of(-HALF)
 
 
 def test_effective_surface_coefficients():
-    delta, kerr, eps2 = Fraction(3), Fraction(1), Fraction(2)
+    delta, eps2 = Fraction(3), Fraction(2)
     lam = Fraction(1)
-    h = effective_hamiltonian_surface(delta, kerr, eps2, lam=lam)
-    # (delta + 2 kerr)(x^2+p^2)/(2 lam) - kerr ((x^2+p^2)/(2 lam))^2
+    h = effective_hamiltonian_surface(delta, eps2, lam=lam)
+    # (delta + 2)(x^2+p^2)/(2 lam) - ((x^2+p^2)/(2 lam))^2
     #   + eps2 (x^2 - p^2)/lam + const
     assert h.coefficient(4, 0) == Coeff.of(-Fraction(1, 4))
     assert h.coefficient(2, 2) == Coeff.of(-Fraction(1, 2))
     assert h.coefficient(0, 4) == Coeff.of(-Fraction(1, 4))
     assert h.coefficient(2, 0) == Coeff.of(Fraction(delta + 2, 2) + eps2)
     assert h.coefficient(0, 2) == Coeff.of(Fraction(delta + 2, 2) - eps2)
-    classical = effective_hamiltonian_surface(delta, kerr, eps2, lam=lam,
-                                              classical=True)
+    classical = effective_hamiltonian_surface(delta, eps2, lam=lam, classical=True)
     assert classical.coefficient(2, 0) == Coeff.of(Fraction(delta, 2) + eps2)
     assert classical.coefficient(0, 0) == Coeff.of(0)
 
 
 def test_effective_surface_classical_scale_coefficients():
-    # lam = kerr / (2 eps2); after rescaling by -lam^2/kerr the x^2/2
-    # coefficient is -(1 + delta/(2 eps2) + 2 lam)
-    delta, kerr, eps2 = Fraction(5), Fraction(1), Fraction(2)
-    lam = kerr / (2 * eps2)
-    h = effective_hamiltonian_surface(delta, kerr, eps2, lam=lam)
-    scaled = h.scale(-lam * lam / kerr)
+    # lam = 1 / (2 eps2); after rescaling by -lam^2 the x^2/2 coefficient
+    # is -(1 + delta/(2 eps2) + 2 lam)
+    delta, eps2 = Fraction(5), Fraction(2)
+    lam = 1 / (2 * eps2)
+    h = effective_hamiltonian_surface(delta, eps2, lam=lam)
+    scaled = h.scale(-lam * lam)
     mu = delta / (2 * eps2)
     assert scaled.coefficient(2, 0) == Coeff.of(-(1 + mu + 2 * lam) * HALF)
     assert scaled.coefficient(0, 2) == Coeff.of((1 - mu - 2 * lam) * HALF)
     assert scaled.coefficient(4, 0) == Coeff.of(Fraction(1, 4))
     # dropping the 2 lam (Lamb) pieces reproduces the classical-limit surface
-    classical = effective_hamiltonian_surface(delta, kerr, eps2, lam=lam,
-                                              classical=True).scale(-lam * lam / kerr)
+    classical = effective_hamiltonian_surface(delta, eps2, lam=lam,
+                                              classical=True).scale(-lam * lam)
     assert classical.coefficient(2, 0) == Coeff.of(-(1 + mu) * HALF)
     assert classical.coefficient(0, 2) == Coeff.of((1 - mu) * HALF)
 
 
 def test_surface_matches_wigner_transformed_operator():
-    op = hamiltonian_operator_poly(Fraction(3), 1, Fraction(2))
+    op = hamiltonian_operator_poly(Fraction(3), Fraction(2))
     via_op = convert_basis(wigner_transform_operator(op), "xp")
-    direct = effective_hamiltonian_surface(Fraction(3), 1, Fraction(2))
+    direct = effective_hamiltonian_surface(Fraction(3), Fraction(2))
     assert via_op == direct
 
 

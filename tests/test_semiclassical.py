@@ -4,13 +4,14 @@ import pytest
 from kerrcat.fock import HamiltonianParams
 from kerrcat.semiclassical import (PhaseRegion, classical_frame_scale,
                                    classify_phase, ebk_bound_state_count,
-                                   ebk_levels_approx, ebk_levels_exact,
+                                   ebk_levels_exact,
                                    geometry, metapotential_classical,
                                    separatrix_area, separatrix_area_double_node,
                                    separatrix_area_triple_node,
                                    to_classical_frame, wkb_splitting)
 from kerrcat.spectra import tunnel_splitting
-from oracles import newton_critical_point, separatrix_area_quadrature
+from oracles import (ebk_levels_approx, newton_critical_point,
+                     separatrix_area_quadrature)
 
 
 def test_classify_phase_examples():
@@ -71,19 +72,17 @@ def test_barrier_formulas_agree_at_phase_boundary():
 
 
 def test_critical_points_against_newton_oracle():
-    delta, eps2, kerr = 3.4, 1.1, 1.0
-    g = geometry(delta, eps2, kerr)
-    node = newton_critical_point(delta, eps2, kerr,
-                                 0.9 * g.node_distance / 2, 0.05,
+    delta, eps2 = 3.4, 1.1
+    g = geometry(delta, eps2)
+    node = newton_critical_point(delta, eps2, 0.9 * g.node_distance / 2, 0.05,
                                  metapotential_classical)
     assert abs(abs(node[0]) - g.node_distance / 2) < 1e-8
     assert abs(node[1]) < 1e-8
-    saddle = newton_critical_point(delta, eps2, kerr,
-                                   0.02, 0.9 * g.saddle_distance / 2,
+    saddle = newton_critical_point(delta, eps2, 0.02, 0.9 * g.saddle_distance / 2,
                                    metapotential_classical)
     assert abs(abs(saddle[1]) - g.saddle_distance / 2) < 1e-8
-    nv = metapotential_classical(node[0], node[1], delta, eps2, kerr)
-    sv = metapotential_classical(saddle[0], saddle[1], delta, eps2, kerr)
+    nv = metapotential_classical(node[0], node[1], delta, eps2)
+    sv = metapotential_classical(saddle[0], saddle[1], delta, eps2)
     assert nv - sv == pytest.approx(g.barrier_height, abs=1e-8)
 
 
@@ -107,7 +106,7 @@ def test_separatrix_area_matches_quadrature_oracle():
 
 
 def test_separatrix_area_continuous_at_boundary():
-    # both closed forms evaluated at delta = 2 eps2 give pi * delta / kerr
+    # both closed forms evaluated at delta = 2 eps2 give pi * delta
     for eps2 in (0.5, 1.0, 3.0):
         below = separatrix_area_double_node(2 * eps2, eps2)
         above = separatrix_area_triple_node(2 * eps2, eps2)
@@ -129,18 +128,20 @@ def test_ebk_count_never_negative():
 
 def test_ebk_boundary_reports_both_branches():
     c = ebk_bound_state_count(4.0, 2.0)
-    assert c.at_boundary
-    # approximation branches disagree at the boundary; both values exposed
+    # delta = 2 eps2 is where the oracle's branch approximation switches
+    assert classify_phase(4.0 - 1e-12, 2.0) is PhaseRegion.DOUBLE_NODE
+    assert classify_phase(4.0, 2.0) is PhaseRegion.TRIPLE_NODE
+    # approximation branches disagree at the boundary; the exact count does not
     assert ebk_levels_approx(4.0 - 1e-12, 2.0) != pytest.approx(
         ebk_levels_approx(4.0, 2.0), abs=1e-3)
     assert c.n_exact == pytest.approx(ebk_levels_exact(4.0, 2.0), abs=0)
 
 
 def test_ebk_approx_inflates_double_node_coefficient():
-    # the branch approximation carries a delta coefficient inconsistent with
-    # the exact lobe area; keep both visible
+    # the branch approximation (the oracle) carries a delta coefficient
+    # inconsistent with the exact lobe area
     c = ebk_bound_state_count(4.0, 4.0)
-    assert c.n_approx - c.n_exact > 0.5
+    assert ebk_levels_approx(4.0, 4.0) - c.n_exact > 0.5
 
 
 def test_wkb_zero_at_even_detuning():
@@ -176,10 +177,10 @@ def test_wkb_sign_alternates_between_windows():
 
 
 def test_classical_frame_utilities():
-    lam = classical_frame_scale(1.0, 2.0)
+    lam = classical_frame_scale(2.0)
     assert lam == pytest.approx(0.25)
-    x, p = to_classical_frame(2.0, -1.0, 1.0, 2.0)
+    x, p = to_classical_frame(2.0, -1.0, 2.0)
     assert x == pytest.approx(1.0)
     assert p == pytest.approx(-0.5)
     with pytest.raises(ValueError):
-        classical_frame_scale(1.0, 0.0)
+        classical_frame_scale(0.0)

@@ -1,5 +1,6 @@
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -207,7 +208,7 @@ def test_splittings_and_level_lists_build_no_dense_matrix(tmp_path, monkeypatch)
 
     p = HamiltonianParams(delta=1.0, eps2=0.11, dim=80)
     assert tunnel_splitting(p).delta_e == pytest.approx(GOLDEN_DE_D1_E011, abs=1e-9)
-    zeros = find_splitting_zeros(p.with_(eps2=0.5), 1.0, 3.0, scan_points=11)
+    zeros = find_splitting_zeros(replace(p, eps2=0.5), 1.0, 3.0, scan_points=11)
     assert np.abs(zeros - [2.0]).max() < 1e-6
     assert degeneracy_check(1, 0.5, dim=40).ok
     quartic = HamiltonianParams(delta=2.0, eps4=0.05, dim=60)
@@ -275,7 +276,7 @@ def test_sign_changes_only_at_even_detuning():
     # signed splitting flips exactly at {2, 4, 6} and nowhere else
     p0 = HamiltonianParams(delta=0.0, eps2=0.6, dim=90)
     grid = np.arange(0.5, 6.5001, 0.05)
-    sgn = np.sign([tunnel_splitting(p0.with_(delta=float(d))).delta_e
+    sgn = np.sign([tunnel_splitting(replace(p0, delta=float(d))).delta_e
                    for d in grid])
     flips = [grid[i] for i in range(len(grid) - 1) if sgn[i] * sgn[i + 1] < 0]
     assert len(flips) == 3
@@ -355,7 +356,7 @@ def test_second_order_structure_and_identity():
     # upward-only correction at level 0 (no downward term exists)
     assert second_order_energy(0, p) == pytest.approx(
         0.1**2 * 2 / (-2 * 4.0 + 2.0), abs=1e-15)
-    # E2_n == E2_{n+1} at delta = 2 n kerr, here n = 2
+    # E2_n == E2_{n+1} at delta = 2 n, here n = 2
     assert second_order_energy(2, p) == pytest.approx(
         second_order_energy(3, p), abs=1e-15)
 
