@@ -3,14 +3,16 @@
     kerrcat <subcommand> --config cfg.json [--set key=value ...] \
             --out table.csv --format csv|json
 
-Subcommands: spectrum, splitting, wkb, ebk, geometry, wigner, lindblad,
-calibrate.  The config is a JSON object; ``--set`` overrides win (dotted
-paths address nested keys).  ``SCHEMAS`` lists every key of each subcommand
-with its type, default and domain; ``null`` means absent.  A sweep takes a
-``fixed`` table and one or two ``axes``.  Every sweep table ends in an
-``error`` column.  Exit codes: 0 success; 2 config error, with no file
-written and no point computed: a key, type or value that ``SCHEMAS``
-rejects, a ``fixed`` value outside the model's domain, or a ``calibrate``
+Subcommands: spectrum, splitting, wigner, lindblad, calibrate; ``splitting``
+writes the one table of the top-pair splitting beside its WKB, EBK and
+metapotential estimates.  The config is a JSON object; ``--set`` overrides
+win (dotted paths address nested keys).  ``SCHEMAS`` lists every key of
+each subcommand with its type, default and domain; ``null`` means absent.
+A sweep takes a ``fixed`` table and one or two ``axes``.  Every sweep table
+ends in an ``error`` column.  Exit codes: 0 success; 2 config error, with no
+file written and no point computed: a key, type or value that ``SCHEMAS``
+rejects, a ``fixed`` value outside the model's domain, an ``--out`` that
+names a directory or sits in one that does not exist, or a ``calibrate``
 input that is not finite, or ``--eps-x`` or ``--kerr`` <= 0.
 3 numeric failure: a point that raises becomes one row with its parameter
 cells, empty result cells and the exception class in ``error``; the table
@@ -69,13 +71,12 @@ def _sweep_schema(axes, fixed=_HAM, **extra) -> dict:
     axis = {"name": (str, ..., axes), "start": (float, ..., None),
             "stop": (float, ..., None), "count": (int, ..., ">= 2"),
             "scale": (str, "linear", ("linear", "log"))}
-    return {"fixed": fixed, "axes": [axis], "seed": (int, None, None), **extra}
+    return {"fixed": fixed, "axes": [axis], **extra}
 
 
 _WELL = {"pair": (int, 0, ">= 0")}
 SCHEMAS = {
-    **dict.fromkeys(("splitting", "wkb", "ebk", "geometry"),
-                    _sweep_schema(("delta", "eps2"))),
+    "splitting": _sweep_schema(("delta", "eps2")),
     "spectrum": _sweep_schema(("delta", "eps2", "eps4"),
                               n_levels=(int, 8, ">= 1")),
     "wigner": {
@@ -252,8 +253,6 @@ def _sweep(cfg: dict, args, columns, point) -> SweepResult:
         for row in rows:
             table.append(*row)
     table.meta["subcommand"] = args.command
-    if cfg["seed"] is not None:
-        table.meta["seed"] = cfg["seed"]
     return table
 
 
@@ -331,9 +330,7 @@ def cmd_calibrate(args) -> dict:
 
 # config-driven subcommands: each returns the table that ``main`` writes
 _COMMANDS = {"spectrum": cmd_spectrum, "splitting": cmd_splitting,
-             "wkb": cmd_splitting, "ebk": cmd_splitting,
-             "geometry": cmd_splitting, "wigner": cmd_wigner,
-             "lindblad": cmd_lindblad}
+             "wigner": cmd_wigner, "lindblad": cmd_lindblad}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,6 +367,11 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.command != "calibrate" or args.out != "-":   # - is stdout
+            if os.path.isdir(args.out) or not os.path.isdir(
+                    os.path.dirname(args.out) or "."):
+                raise ConfigError(f"--out {args.out} must name a file in an "
+                                  "existing directory")
         if args.command == "calibrate":
             report = cmd_calibrate(args)
             if args.out == "-":

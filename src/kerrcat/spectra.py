@@ -48,8 +48,6 @@ __all__ = [
     "first_order_crossing_amplitude",
     "second_order_energy",
     "localized_pair",
-    "quartic_drive_spectrum",
-    "quartic_crossing_location",
 ]
 
 
@@ -227,14 +225,16 @@ def find_splitting_zeros(p0: HamiltonianParams, lo: float, hi: float,
 
 
 def splitting_sweep(p0: HamiltonianParams, delta_grid: np.ndarray) -> SweepResult:
-    """|dE| and signed dE per grid point; zero locations in ``meta['zeros']``."""
+    """|dE| and signed dE per grid delta, for the squeeze drive (eps2), the
+    quartic drive (eps4) or both; the zeros, refined to ``xtol`` 1e-10, in
+    ``meta['zeros']``."""
     delta_grid = np.asarray(delta_grid, dtype=float)
     if np.any(np.diff(delta_grid) <= 0):
         raise ValueError("delta grid must be strictly increasing")
-    vals, zeros = _scan(p0, delta_grid, 1e-8)
-    out = SweepResult(["delta", "eps2", "de_signed", "abs_de"])
+    vals, zeros = _scan(p0, delta_grid, 1e-10)
+    out = SweepResult(["delta", "eps2", "eps4", "de_signed", "abs_de"])
     for d, de in zip(delta_grid, vals):
-        out.append(float(d), p0.eps2, de, abs(de))
+        out.append(float(d), p0.eps2, p0.eps4, de, abs(de))
     out.meta["zeros"] = zeros
     return out
 
@@ -390,19 +390,3 @@ def _wells(es: EigenSystem, pairs):
     flip = np.real(np.sum(right.conj() * (quadrature_x(es.dim) @ right), axis=0)) < 0
     return np.where(flip, left, right), np.where(flip, right, left)
 
-
-def quartic_drive_spectrum(p: HamiltonianParams, delta_grid: np.ndarray) -> SweepResult:
-    """Top even/odd gap vs delta for the quartic-drive variant (eps2 = 0)."""
-    delta_grid = np.asarray(delta_grid, dtype=float)
-    vals, zeros = _scan(p, delta_grid, 1e-10)
-    out = SweepResult(["delta", "eps4", "gap_signed", "abs_gap"])
-    for d, gap in zip(delta_grid, vals):
-        out.append(float(d), p.eps4, gap, abs(gap))
-    out.meta["zeros"] = zeros
-    return out
-
-
-def quartic_crossing_location(p: HamiltonianParams, lo: float, hi: float) -> float:
-    from scipy.optimize import brentq
-
-    return brentq(signed_splitting, lo, hi, args=(p,), xtol=1e-10)

@@ -7,6 +7,7 @@ Every file kerrcat writes goes through :func:`write_csv` or
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,7 +73,8 @@ class SweepResult:
     def to_json(self, path) -> None:
         write_json(path, {
             "columns": list(self.columns),
-            "rows": [[None if (isinstance(v, float) and np.isnan(v)) else v for v in row]
-                     for row in self.rows],
+            # NaN and +-inf have no JSON spelling: every such cell is null
+            "rows": [[None if isinstance(v, float) and not math.isfinite(v) else v
+                      for v in row] for row in self.rows],
             "meta": self.meta,
         }, indent=1)

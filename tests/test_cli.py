@@ -180,7 +180,7 @@ def test_cli_output_matches_golden_corpus(tmp_path, name):
 def test_phase_column_matches_classifier(tmp_path):
     cfg = write_cfg(tmp_path, splitting_cfg(dim=60))
     out = tmp_path / "t.csv"
-    assert cli.main(["geometry", "--config", cfg, "--out", str(out)]) == 0
+    assert cli.main(["splitting", "--config", cfg, "--out", str(out)]) == 0
     header, rows = read_csv(out)
     i_d, i_e, i_ph = header.index("delta"), header.index("eps2"), header.index("phase")
     for row in rows:
@@ -193,7 +193,7 @@ def test_wkb_column_vanishes_at_even_detuning(tmp_path):
         "axes": [{"name": "delta", "start": 2.0, "stop": 4.0, "count": 3}],
     }
     out = tmp_path / "t.csv"
-    assert cli.main(["wkb", "--config", write_cfg(tmp_path, cfg),
+    assert cli.main(["splitting", "--config", write_cfg(tmp_path, cfg),
                      "--out", str(out)]) == 0
     header, rows = read_csv(out)
     i_w = header.index("de_wkb")
@@ -230,6 +230,61 @@ def test_fixed_kerr_is_an_unknown_key(tmp_path, capsys):
                      "--set", "fixed.kerr=1"]) == 2
     assert "fixed.kerr" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("alias", ["wkb", "ebk", "geometry"])
+def test_splitting_aliases_are_invalid_choices(tmp_path, capsys, alias):
+    # splitting is the one name of the splitting table
+    cfg = write_cfg(tmp_path, splitting_cfg(dim=20))
+    out = tmp_path / "t.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([alias, "--config", cfg, "--out", str(out)])
+    assert exc.value.code == 2 and not out.exists()
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_seed_is_an_unknown_key(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli.spectra, "tunnel_splitting", lambda p: calls.append(p))
+    rc, out = run_sweep(tmp_path, "splitting", [
+        {"name": "delta", "start": 0.5, "stop": 1.5, "count": 3}],
+        "--set", "seed=1")
+    assert rc == 2 and not out.exists() and calls == []
+    assert "unknown key seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["splitting", "calibrate"])
+@pytest.mark.parametrize("where", ["missing/t.csv", "."])
+def test_unwritable_out_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                          command, where):
+    # refused before the first point: no directory at missing/, and . is one
+    calls = []
+    monkeypatch.setattr(cli.spectra, "tunnel_splitting", lambda p: calls.append(p))
+    monkeypatch.setattr(cli, "cmd_calibrate", lambda args: calls.append(args))
+    out = tmp_path / where
+    args = (["--config", write_cfg(tmp_path, splitting_cfg(dim=20))]
+            if command == "splitting" else ["--omega-x", "4.0", "--eps-x", "1.0"])
+    assert cli.main([command, *args, "--out", str(out)]) == 2
+    assert calls == [] and not (tmp_path / "missing").exists()
+    assert sorted(os.listdir(tmp_path)) == (
+        ["cfg.json"] if command == "splitting" else [])
+    assert "--out" in capsys.readouterr().err
+
+
+def test_json_table_writes_non_finite_cells_as_null(tmp_path):
+    # eps2 = 5e-324: the EBK count and separatrix area overflow to inf
+    cfg = {"fixed": {"delta": 1.0, "eps2": 5e-324, "dim": 20},
+           "axes": [{"name": "delta", "start": 1.0, "stop": 2.0, "count": 2}]}
+    out = tmp_path / "t.json"
+    assert cli.main(["splitting", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out), "--format", "json"]) == 3   # wkb-domain
+
+    def refuse(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    data = json.loads(out.read_text(), parse_constant=refuse)
+    for name in ("n_ebk", "area"):
+        assert [row[data["columns"].index(name)] for row in data["rows"]] == [None] * 2
 
 
 def test_bad_config_exit_code(tmp_path):
@@ -330,7 +385,7 @@ def test_two_axis_row_count(tmp_path):
         ],
     }
     out = tmp_path / "t.csv"
-    assert cli.main(["ebk", "--config", write_cfg(tmp_path, cfg),
+    assert cli.main(["splitting", "--config", write_cfg(tmp_path, cfg),
                      "--out", str(out)]) == 0
     _, rows = read_csv(out)
     assert len(rows) == 12
@@ -572,8 +627,7 @@ def test_invalid_swept_lindblad_rate_fails_only_its_row(tmp_path):
     assert [r[header.index("error")] for r in rows] == ["ValueError", "ValueError", ""]
 
 
-@pytest.mark.parametrize("key, value", [("seed", "abc"), ("seed", "1.5"),
-                                        ("n_levels", "abc"), ("n_levels", "2.5")])
+@pytest.mark.parametrize("key, value", [("n_levels", "abc"), ("n_levels", "2.5")])
 def test_non_integer_setting_is_a_config_error(tmp_path, monkeypatch, key, value):
     # rejected before the first eigensolve of the grid, with no file written
     calls = []
@@ -911,7 +965,7 @@ def test_wigner_without_state_writes_eigenstate_0(tmp_path):
 
 VALID = {
     "splitting": ("splitting", {
-        "fixed": {"delta": 1.0, "eps2": 0.5, "dim": 20}, "seed": 1,
+        "fixed": {"delta": 1.0, "eps2": 0.5, "dim": 20},
         "axes": [{"name": "delta", "start": 0.5, "stop": 1.5, "count": 2}]}),
     "spectrum": ("spectrum", {
         "fixed": {"eps2": 0.5, "dim": 20}, "n_levels": 3,
@@ -1072,6 +1126,11 @@ def readme_cli():
     lines = [shlex.split(cmd.replace("\\\n", " ")) for cmd in
              re.findall(r"^kerrcat (?:[^\n]*\\\n)*[^\n]*", shell, flags=re.M)]
     return configs, lines
+
+
+def test_readme_lists_every_subcommand():
+    line = re.search(r"^Subcommands: (.*)$", README.read_text(), flags=re.M)[1]
+    assert re.findall(r"`(\w+)`", line) == [*cli._COMMANDS, "calibrate"]
 
 
 def test_readme_configs_and_command_lines_pass_check_config(tmp_path):

@@ -15,9 +15,7 @@ from kerrcat.spectra import (EigenSystem, _pair_up, align_offset,
                              degeneracy_check, eigensystem,
                              exact_block_eigenvalues, find_splitting_zeros,
                              first_order_crossing_amplitude, levels,
-                             localized_pair, quartic_crossing_location,
-                             quartic_drive_spectrum,
-                             resonant_displaced_hamiltonian,
+                             localized_pair, resonant_displaced_hamiltonian,
                              second_order_energy, splitting_sweep,
                              tunnel_splitting)
 from oracles import charpoly_roots, greedy_pairing
@@ -212,7 +210,7 @@ def test_splittings_and_level_lists_build_no_dense_matrix(tmp_path, monkeypatch)
     assert np.abs(zeros - [2.0]).max() < 1e-6
     assert degeneracy_check(1, 0.5, dim=40).ok
     quartic = HamiltonianParams(delta=2.0, eps4=0.05, dim=60)
-    assert len(quartic_drive_spectrum(quartic, np.linspace(1.5, 2.5, 5)).rows) == 5
+    assert len(splitting_sweep(quartic, np.linspace(1.5, 2.5, 5)).rows) == 5
     for command, axis in (("splitting", "eps2"), ("spectrum", "eps4")):
         cfg = tmp_path / f"{command}.json"
         cfg.write_text(json.dumps({
@@ -437,7 +435,7 @@ def test_localized_pair_rejects_a_negative_index(pair_index):
 
 def test_quartic_crossings_reduce_to_even_integers():
     p = HamiltonianParams(delta=2.0, eps2=0.0, eps4=0.0, dim=60)
-    z = quartic_crossing_location(p, 1.3, 2.7)
+    (z,) = find_splitting_zeros(p, 1.3, 2.7, scan_points=2, xtol=1e-10)
     assert abs(z - 2.0) < 1e-9
 
 
@@ -448,7 +446,7 @@ def test_quartic_crossing_shift_goldens_and_monotonicity():
     shifts = []
     for eps4, golden in QUARTIC_GOLDENS.items():
         p = HamiltonianParams(delta=2.0, eps2=0.0, eps4=eps4, dim=60)
-        z = quartic_crossing_location(p, 1.3, 2.7)
+        (z,) = find_splitting_zeros(p, 1.3, 2.7, scan_points=2, xtol=1e-10)
         assert z == pytest.approx(golden, abs=1e-8)
         shifts.append(abs(z - 2.0))
         assert abs(z - 2.0) > 1e-3
@@ -457,8 +455,9 @@ def test_quartic_crossing_shift_goldens_and_monotonicity():
 
 def test_quartic_drive_spectrum_table():
     p = HamiltonianParams(delta=2.0, eps2=0.0, eps4=0.05, dim=60)
-    table = quartic_drive_spectrum(p, np.linspace(1.5, 2.5, 21))
-    assert len(table.rows) == 21
+    table = splitting_sweep(p, np.linspace(1.5, 2.5, 21))
+    assert table.columns == ["delta", "eps2", "eps4", "de_signed", "abs_de"]
+    assert len(table.rows) == 21 and set(table.column("eps4")) == {0.05}
     zeros = table.meta["zeros"]
     assert len(zeros) == 1
     assert zeros[0] == pytest.approx(QUARTIC_GOLDENS[0.05], abs=1e-8)
